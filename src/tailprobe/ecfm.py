@@ -20,19 +20,39 @@ from .errors import ConfigError, DataError
 from .quantiles import quantile
 
 
+def cond_std_rows(rows: np.ndarray, q_lo: float = 0.1, q_hi: float = 0.9) -> np.ndarray:
+    """``cond_std`` of each row of a 2-D array: NaN where fewer than 2 values
+    lie in the band, exactly 0 where the band holds a single distinct value.
+
+    Rows reduce along contiguous memory, so a row rounds exactly as the same
+    values passed alone as a 1-row array.
+    """
+    v = np.ascontiguousarray(rows, dtype=float)
+    lo, hi = quantile(v, [q_lo, q_hi], axis=1)
+    inner = (v >= lo[:, None]) & (v <= hi[:, None])
+    count = np.count_nonzero(inner, axis=1)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        mean = np.where(inner, v, 0.0).sum(axis=1) / count
+        dev = np.where(inner, v - mean[:, None], 0.0)
+        std = np.sqrt((dev * dev).sum(axis=1) / (count - 1))
+    # Equal values can leave a mean one rounding off them, and with it a
+    # spurious std near 1e-17 that would blow normalized values up.
+    band_max = np.where(inner, v, -np.inf).max(axis=1)
+    std[band_max == np.where(inner, v, np.inf).min(axis=1)] = 0.0
+    std[count < 2] = np.nan
+    return std
+
+
 def cond_std(values, q_lo: float = 0.1, q_hi: float = 0.9) -> float:
     """Sample std (ddof=1) of the values lying within the [q_lo, q_hi]
-    quantile band, inclusive."""
+    quantile band, inclusive; 0 when those values are all equal."""
     v = np.asarray(values, dtype=float)
     if not 0.0 <= q_lo < q_hi <= 1.0:
         raise ConfigError(f"need 0 <= q_lo < q_hi <= 1, got ({q_lo}, {q_hi})")
-    lo, hi = quantile(v, [q_lo, q_hi])
-    inner = v[(v >= lo) & (v <= hi)]
-    if len(inner) < 2:
-        raise DataError(
-            f"trimmed subset has {len(inner)} points; need >= 2 for a std"
-        )
-    return float(np.std(inner, ddof=1))
+    std = float(cond_std_rows(v.reshape(1, -1), q_lo, q_hi)[0])
+    if np.isnan(std):
+        raise DataError("trimmed subset has fewer than 2 points; need >= 2 for a std")
+    return std
 
 
 def normalize(values, center: str = "median") -> np.ndarray:
@@ -65,7 +85,8 @@ def ecfm(values, source_freq_hz: float | None = None) -> EcfmTrace:
     v = np.asarray(values, dtype=float)
     if v.ndim != 1 or len(v) < 2:
         raise DataError(f"need a 1-D series of length >= 2, got shape {v.shape}")
-    dev4 = (v - v.mean()) ** 4
+    dev2 = (v - v.mean()) ** 2
+    dev4 = dev2 * dev2  # `** 4` takes a slow, layout-dependent path for negative bases
     k = np.arange(1, len(v) + 1, dtype=float)
     c = np.cumsum(dev4) / k
     return EcfmTrace(values=c, increments=np.diff(c), source_freq_hz=source_freq_hz)

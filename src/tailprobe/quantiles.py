@@ -10,9 +10,9 @@ from __future__ import annotations
 import numpy as np
 
 
-def quantile(values: np.ndarray, q) -> np.ndarray | float:
-    """Hazen quantile(s) of a 1-D array."""
-    return np.quantile(np.asarray(values, dtype=float), q, method="hazen")
+def quantile(values: np.ndarray, q, axis: int | None = None) -> np.ndarray | float:
+    """Hazen quantile(s) of all values, or of each slice along ``axis``."""
+    return np.quantile(np.asarray(values, dtype=float), q, axis=axis, method="hazen")
 
 
 def iqr(values: np.ndarray) -> float:

@@ -9,6 +9,7 @@ magnitude of the coefficients.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,10 +34,13 @@ def bessel_i0(x) -> np.ndarray | float:
     return total if total.ndim else float(total)
 
 
+@functools.lru_cache(maxsize=16)
 def kaiser_window(length: int, beta: float) -> np.ndarray:
     """Kaiser window of the given length; beta=0 gives a rectangular window.
 
     The second half mirrors the first exactly, so reversal is bit-identical.
+    Memoized: every call with the same arguments returns one shared,
+    read-only array.
     """
     length = int(length)
     if length < 1:
@@ -45,14 +49,16 @@ def kaiser_window(length: int, beta: float) -> np.ndarray:
     if not np.isfinite(beta) or beta < 0:
         raise ConfigError(f"kaiser beta must be >= 0, got {beta!r}")
     if length == 1:
-        return np.ones(1)
-    half = (length + 1) // 2
-    m = np.arange(half)
-    r = 2.0 * m / (length - 1) - 1.0
-    w_half = np.asarray(bessel_i0(beta * np.sqrt(1.0 - r * r))) / bessel_i0(beta)
-    w = np.empty(length)
-    w[:half] = w_half
-    w[length - half:] = w_half[::-1]
+        w = np.ones(1)
+    else:
+        half = (length + 1) // 2
+        m = np.arange(half)
+        r = 2.0 * m / (length - 1) - 1.0
+        w_half = np.asarray(bessel_i0(beta * np.sqrt(1.0 - r * r))) / bessel_i0(beta)
+        w = np.empty(length)
+        w[:half] = w_half
+        w[length - half:] = w_half[::-1]
+    w.flags.writeable = False
     return w
 
 

@@ -5,8 +5,11 @@ Decision layers, from raw signal to category:
 1. Slope evidence (reported in every verdict, and the statistic behind the
    ordering studies): normalize -> ECFM -> jump detection -> last long
    segment -> OLS slope, per time-domain signal and per spectrogram bin.
-   Thresholds for these statistics are calibrated as high quantiles of a
-   Gaussian null simulated at the same length and configuration.
+   One kernel runs the whole chain as a single array pass over all the
+   band's bins (the time-domain signal is a one-column matrix), for the
+   profile, both calibrations and the TD slope alike. Thresholds for these
+   statistics are calibrated as high quantiles of a Gaussian null
+   simulated at the same length and configuration.
 
 2. Tail identification (the decider for the TD/TFD booleans): a
    stability-index estimate from the empirical characteristic function
@@ -41,17 +44,11 @@ import numpy as np
 from scipy import special
 
 from .distributions import AlphaStable, SymPareto, TLocScale
-from .ecfm import ecfm, normalize
+from .ecfm import cond_std_rows
 from .errors import ConfigError, DataError
 from .gof import ks_stat
 from .quantiles import iqr, quantile
-from .segmentation import (
-    SegmentationConfig,
-    detect_jumps,
-    fit_slope,
-    last_long_segment,
-    segments_between_jumps,
-)
+from .segmentation import SegmentationConfig
 from .tfr import Spectrogram, SpectrogramConfig, spectrogram
 
 # Decision constants, frozen by measurement against the nine reference
@@ -129,21 +126,98 @@ def band_bin_indices(spec: Spectrogram, band: tuple[float, float] | None) -> np.
     return idx
 
 
-def _last_segment_slope(
-    values: np.ndarray, seg_cfg: SegmentationConfig
-) -> tuple[float, bool]:
-    """Normalize -> ECFM -> jumps -> last long segment -> OLS slope.
+def _last_segment_slopes(
+    columns: np.ndarray, seg_cfg: SegmentationConfig
+) -> tuple[np.ndarray, np.ndarray]:
+    """Normalize -> ECFM -> jumps -> last long segment -> OLS slope for
+    every column of an (n, m) matrix, as one array pass over all columns.
 
-    Returns (slope, used_fallback); raises DataError on degenerate input.
+    Each step matches its public counterpart (``normalize``, ``ecfm``,
+    ``detect_jumps``, ``segments_between_jumps``, ``last_long_segment``,
+    ``fit_slope``) column by column. Returns (slopes, status); columns too
+    short for jump detection (n < 11), with zero conditional std, or whose
+    chosen segment is shorter than 3 get STATUS_SKIPPED and a NaN slope.
     """
-    trace = ecfm(normalize(values))
-    n = len(trace.values)
-    jumps = detect_jumps(trace.increments, seg_cfg)
-    segments = segments_between_jumps(n, jumps)
-    segment, used_fallback = last_long_segment(segments, n, seg_cfg)
-    if segment[1] - segment[0] < 3:
-        raise DataError("last segment too short for a slope fit")
-    return fit_slope(trace.values, segment), used_fallback
+    # One row per series: every reduction then runs along contiguous memory
+    # and rounds exactly as the 1-D functions do, so traces and jump
+    # decisions agree bit for bit; only the slope fit rounds differently.
+    v = np.ascontiguousarray(np.asarray(columns, dtype=float).T)
+    m, n = v.shape
+    slopes = np.full(m, np.nan)
+    status = np.full(m, STATUS_SKIPPED, dtype=np.int8)
+    if n < 11:
+        return slopes, status
+    scale = cond_std_rows(v)
+    kept = np.flatnonzero(scale > 0)
+    if len(kept) == 0:
+        return slopes, status
+    v = v[kept]
+    z = (v - np.median(v, axis=1, keepdims=True)) / scale[kept, None]
+
+    dev2 = (z - z.mean(axis=1, keepdims=True)) ** 2
+    positions = np.arange(1, n + 1)
+    trace = np.cumsum(dev2 * dev2, axis=1) / positions.astype(float)
+    d = np.diff(trace, axis=1)
+
+    # Jump threshold per row: median of the positive increments (sorted to
+    # the front, the rest sent to +inf) plus jump_factor robust sigmas.
+    positive = d > 0
+    n_pos = np.count_nonzero(positive, axis=1)
+    ranked = np.sort(np.where(positive, d, np.inf), axis=1)
+    lower = np.take_along_axis(ranked, np.maximum(n_pos - 1, 0)[:, None] // 2, 1)[:, 0]
+    upper = np.take_along_axis(ranked, n_pos[:, None] // 2, 1)[:, 0]
+    median_pos = np.where(n_pos % 2 == 1, upper, (lower + upper) / 2)
+    q25, q75 = quantile(d, [0.25, 0.75], axis=1)
+    threshold = median_pos + seg_cfg.jump_factor * (q75 - q25) / 1.349
+
+    # Segment starts: position 1, and position k for a jump at increment k
+    # (rows without a positive increment have an infinite threshold). Listed
+    # row by row in position order, each segment ends at the next start in
+    # its row, or at n + 1 after the row's last one.
+    is_start = np.zeros(v.shape, dtype=bool)
+    is_start[:, :-1] = d > threshold[:, None]
+    is_start[:, 0] = True
+    row, col = np.nonzero(is_start)
+    seg_start = col + 1
+    row_change = row[1:] != row[:-1]
+    seg_end = np.where(np.append(row_change, True), n + 1, np.roll(seg_start, -1))
+    seg_len = seg_end - seg_start
+    first_of_row = np.flatnonzero(np.append(True, row_change))
+    index = np.arange(len(row))
+
+    def latest(mask: np.ndarray) -> np.ndarray:
+        return np.maximum.reduceat(np.where(mask, index, -1), first_of_row)
+
+    latest_long = latest(seg_len >= seg_cfg.min_segment_frac * n)
+    longest = np.maximum.reduceat(seg_len, first_of_row)
+    found = latest_long >= 0
+    chosen = np.where(found, latest_long, latest(seg_len == longest[row]))
+    start, end = seg_start[chosen], seg_end[chosen]
+    if seg_cfg.fallback == "whole_trace":
+        start = np.where(found, start, 1)
+        end = np.where(found, end, n + 1)
+
+    # Centred OLS over [start, end): sum (k - kbar)^2 = L (L^2 - 1) / 12.
+    fit = np.flatnonzero(end - start >= 3)
+    start, end, trace = start[fit], end[fit], trace[fit]
+    length = (end - start).astype(float)
+    in_seg = (positions >= start[:, None]) & (positions < end[:, None])
+    mean = np.where(in_seg, trace, 0.0).sum(axis=1) / length
+    k_centred = positions - (start + end - 1)[:, None] / 2.0
+    sxy = np.where(in_seg, k_centred * (trace - mean[:, None]), 0.0).sum(axis=1)
+    done = kept[fit]
+    slopes[done] = sxy / (length * (length * length - 1.0) / 12.0)
+    status[done] = np.where(found[fit], STATUS_OK, STATUS_FALLBACK)
+    return slopes, status
+
+
+def _td_slope(x: np.ndarray, seg_cfg: SegmentationConfig) -> tuple[float, bool]:
+    """Last-segment slope of one time-domain signal and whether the
+    fallback segment was used; raises DataError on degenerate input."""
+    slopes, status = _last_segment_slopes(x[:, None], seg_cfg)
+    if status[0] == STATUS_SKIPPED:
+        raise DataError("signal too degenerate for a last-segment slope")
+    return float(slopes[0]), bool(status[0] == STATUS_FALLBACK)
 
 
 def slope_profile(
@@ -158,17 +232,7 @@ def slope_profile(
             f"{spec.n_frames} frames is too few for segmentation (need >= {_MIN_FRAMES})"
         )
     idx = band_bin_indices(spec, band)
-    slopes = np.full(len(idx), np.nan)
-    status = np.full(len(idx), STATUS_OK, dtype=np.int8)
-    for j, b in enumerate(idx):
-        try:
-            slope, used_fallback = _last_segment_slope(spec.values[:, b], seg_cfg)
-        except DataError:
-            status[j] = STATUS_SKIPPED
-            continue
-        slopes[j] = slope
-        if used_fallback:
-            status[j] = STATUS_FALLBACK
+    slopes, status = _last_segment_slopes(spec.values[:, idx], seg_cfg)
     if np.all(status == STATUS_SKIPPED):
         raise DataError("all bins in the band are degenerate")
     freqs = spec.freqs_hz[idx]
@@ -245,7 +309,7 @@ def calibrate_td_threshold(
     def one(i: int) -> float:
         rng = np.random.default_rng(seed ^ i)
         z = rng.standard_normal(n_samples)
-        return abs(_last_segment_slope(z, seg_cfg)[0])
+        return abs(_td_slope(z, seg_cfg)[0])
 
     stats = np.asarray(_parallel_map(one, replicates, workers))
     return float(quantile(stats, quantile_level))
@@ -526,7 +590,7 @@ def td_verdict(
     x = np.asarray(values, dtype=float)
     if x.ndim != 1 or len(x) < 20:
         raise DataError(f"need a 1-D signal of length >= 20, got shape {x.shape}")
-    slope, used_fallback = _last_segment_slope(x, seg_cfg)
+    slope, used_fallback = _td_slope(x, seg_cfg)
     threshold = _td_threshold_cached(
         len(x), seg_cfg, calibration_replicates, seed, workers
     )

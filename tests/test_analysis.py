@@ -24,7 +24,7 @@ from tailprobe import (
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 
 # frozen digests of the CSV side files produced for the golden input
-GOLDEN_SLOPES_SHA256 = "52c46bb1fcb4803f158aec0a205fad4102984fe4a410ab1e687c96e0437357f8"
+GOLDEN_SLOPES_SHA256 = "64a0833b4a72d13156330d5de893e87b5aaa9d7f02cd73bf28b4698759a63636"
 GOLDEN_TAIL_SHA256 = "319d96e221c5834e057d3b6e1ecb4ed18311ab542ce8a161f3ef6f0745ebd3e4"
 
 

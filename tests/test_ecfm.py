@@ -52,6 +52,18 @@ def test_cond_std_is_outlier_resistant():
     assert abs(cond_std(y) - cond_std(x)) < 0.05 * cond_std(x)
 
 
+def test_cond_std_of_equal_band_values_is_exactly_zero():
+    # the mean of equal values can round off them (0.1 * 60 here); the
+    # band's std must still be 0, so normalize rejects the series
+    for v in (0.1, 0.3, 2.7):
+        assert cond_std(np.full(60, v)) == 0.0
+        with pytest.raises(DataError):
+            normalize(np.full(60, v))
+    spiked = np.full(60, 0.3)
+    spiked[7] = 9.0  # the 10-90% band holds only the 0.3s
+    assert cond_std(spiked) == 0.0
+
+
 def test_cond_std_validation():
     with pytest.raises(ConfigError):
         cond_std(np.arange(10.0), 0.9, 0.1)

@@ -1,0 +1,184 @@
+"""The batched slope kernel against the per-column reference chain.
+
+The reference is the public 1-D chain run one column at a time:
+normalize -> ecfm -> detect_jumps -> segments_between_jumps ->
+last_long_segment -> fit_slope, with DataError/ConfigError read as a
+skipped column. Status codes must be identical. Slopes must agree to
+rtol 1e-12; for slopes near zero the floor is 1e-12 of the slope that
+moves the column's trace by its largest value over the whole column,
+because the kernel's centred OLS and polyfit round differently.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from tailprobe import (
+    ConfigError,
+    DataError,
+    SegmentationConfig,
+    SpectrogramConfig,
+    default_scenarios,
+    detect_jumps,
+    ecfm,
+    fit_slope,
+    last_long_segment,
+    normalize,
+    sample,
+    segments_between_jumps,
+    slope_profile,
+    spectrogram,
+)
+from tailprobe.verdict import (
+    STATUS_FALLBACK,
+    STATUS_OK,
+    STATUS_SKIPPED,
+    _last_segment_slopes,
+    band_bin_indices,
+)
+
+RTOL = 1e-12
+
+
+def reference(column, cfg):
+    """(slope, status, max |trace|) of one column via the public chain."""
+    try:
+        trace = ecfm(normalize(column))
+        n = len(trace.values)
+        jumps = detect_jumps(trace.increments, cfg)
+        segment, used_fallback = last_long_segment(
+            segments_between_jumps(n, jumps), n, cfg
+        )
+        slope = fit_slope(trace.values, segment)
+    except (DataError, ConfigError):
+        return np.nan, STATUS_SKIPPED, 0.0
+    status = STATUS_FALLBACK if used_fallback else STATUS_OK
+    return slope, status, float(np.max(np.abs(trace.values)))
+
+
+def assert_matches_reference(columns, cfg):
+    slopes, status = _last_segment_slopes(columns, cfg)
+    n, m = columns.shape
+    assert slopes.shape == status.shape == (m,)
+    for j in range(m):
+        want, want_status, magnitude = reference(columns[:, j], cfg)
+        assert status[j] == want_status, f"column {j}"
+        if want_status == STATUS_SKIPPED:
+            assert np.isnan(slopes[j]), f"column {j}"
+        else:
+            tol = RTOL * max(abs(want), magnitude / n)
+            assert abs(slopes[j] - want) <= tol, f"column {j}: {slopes[j]!r} vs {want!r}"
+    return status
+
+
+# ------------------------------------------------ reference scenarios
+
+@pytest.mark.parametrize("scenario", default_scenarios(), ids=lambda s: s.name)
+def test_kernel_matches_reference_on_scenario_signals(scenario):
+    x = sample(scenario.spec, 10_000, np.random.default_rng(3))
+    spec = spectrogram(x, SpectrogramConfig())
+    columns = spec.values[:, band_bin_indices(spec, None)]
+    cfg = SegmentationConfig()
+    assert_matches_reference(columns, cfg)
+    assert_matches_reference(x[:, None], cfg)  # the time-domain path
+    prof = slope_profile(spec, None, cfg)
+    slopes, status = _last_segment_slopes(columns, cfg)
+    np.testing.assert_array_equal(prof.slopes, slopes)
+    np.testing.assert_array_equal(prof.status, status)
+
+
+# ------------------------------------------------------- edge cases
+
+def _no_rise(v):
+    """Reorder so |v - mean| never grows: the ECFM trace never increases."""
+    return v[np.argsort(-np.abs(v - v.mean()), kind="stable")]
+
+
+def test_kernel_edge_columns():
+    rng = np.random.default_rng(8)
+    n = 60
+    gamma = rng.gamma(2.0, size=n)
+    spike = gamma.copy()
+    spike[25] *= 1e6
+    columns = np.column_stack([
+        gamma,
+        np.full(n, 0.1),  # equal values whose mean rounds off them
+        np.full(n, 4.0),
+        spike,
+        np.where(np.arange(n) == 30, 7.0, 0.3),  # equal band values, one spike
+        _no_rise(rng.standard_normal(n)),
+    ])
+    status = assert_matches_reference(columns, SegmentationConfig())
+    assert list(status) == [STATUS_OK, STATUS_SKIPPED, STATUS_SKIPPED, STATUS_OK,
+                            STATUS_SKIPPED, STATUS_OK]
+    increments = ecfm(normalize(columns[:, 5])).increments
+    assert not np.any(increments > 0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 10, 11])
+def test_kernel_short_columns(n):
+    columns = np.random.default_rng(n).gamma(2.0, size=(n, 3))
+    status = assert_matches_reference(columns, SegmentationConfig())
+    assert np.all(status == STATUS_SKIPPED) == (n < 11)
+
+
+@pytest.mark.parametrize("fallback", ["longest_segment", "whole_trace"])
+def test_kernel_fallback_modes(fallback):
+    # every jump-free stretch is shorter than the whole trace, so the
+    # fallback decides the segment in every column
+    rng = np.random.default_rng(11)
+    columns = rng.pareto(0.8, size=(60, 12))
+    cfg = SegmentationConfig(jump_factor=0.5, min_segment_frac=1.0, fallback=fallback)
+    status = assert_matches_reference(columns, cfg)
+    assert np.all(status == STATUS_FALLBACK)
+
+
+# ----------------------------------------------------- drawn matrices
+
+COLUMN_KINDS = ["gamma", "normal", "pareto", "discrete", "constant", "spike",
+                "constant_spike", "no_rise"]
+
+
+@st.composite
+def matrices(draw):
+    n = draw(st.integers(12, 80))
+    kinds = draw(st.lists(st.sampled_from(COLUMN_KINDS), min_size=1, max_size=6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** draw(st.floats(-3, 3))
+    columns = []
+    for kind in kinds:
+        if kind == "gamma":
+            col = rng.gamma(draw(st.sampled_from([0.5, 1.0, 2.0])), size=n)
+        elif kind == "normal":
+            col = rng.standard_normal(n)
+        elif kind == "pareto":
+            col = rng.pareto(1.5, size=n)
+        elif kind == "discrete":
+            col = rng.integers(0, 4, size=n).astype(float)
+        elif kind == "constant":
+            col = np.full(n, draw(st.floats(1e-3, 1e3)))
+        elif kind == "spike":
+            col = rng.gamma(1.0, size=n)
+            col[rng.integers(n)] *= 1e6
+        elif kind == "constant_spike":
+            col = np.full(n, draw(st.floats(1e-3, 1e3)))
+            col[rng.integers(n)] *= 1e6
+        else:
+            col = _no_rise(rng.standard_normal(n))
+        columns.append(col * scale)
+    return np.column_stack(columns)
+
+
+seg_configs = st.builds(
+    SegmentationConfig,
+    jump_factor=st.floats(0.1, 30.0),
+    min_segment_frac=st.floats(0.01, 1.0),
+    fallback=st.sampled_from(["longest_segment", "whole_trace"]),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(columns=matrices(), cfg=seg_configs)
+def test_kernel_matches_reference_on_drawn_matrices(columns, cfg):
+    assert_matches_reference(columns, cfg)
