@@ -56,7 +56,6 @@ from .study import (
 from .tfr import (
     Spectrogram,
     SpectrogramConfig,
-    bessel_i0,
     kaiser_window,
     spectrogram,
     stft,
@@ -88,7 +87,7 @@ __all__ = [
     "Signal", "SlopeProfile", "Spectrogram", "SpectrogramConfig",
     "StudyConfig", "StudyResult", "StudyRow", "SymPareto", "TLocScale",
     "TailEvidence", "TailResult", "TailprobeError", "TdVerdict",
-    "VarianceVerdict", "analyze", "assess", "bessel_i0", "build_report",
+    "VarianceVerdict", "analyze", "assess", "build_report",
     "calibrate_td_threshold", "calibrate_threshold", "cdf", "chi2_evidence",
     "classify", "clear_caches", "cond_std", "default_scenarios", "detect_jumps", "ecdf",
     "ecfm", "empirical_tail", "expected_category", "fit_gen_chi2",

@@ -5,7 +5,7 @@ throughout, so C is exactly the running average of a fixed transformed series
 and its increments are d_k = C(k+1) - C(k). Finite-fourth-moment inputs
 plateau; infinite-fourth-moment inputs show persistent jumps.
 
-Normalization is robust: center by median (or mean) and divide by the
+Normalization is robust: center by the median and divide by the
 conditional standard deviation of the inner 10-90% of the data, so extreme
 values cannot inflate the scale estimate they are judged against.
 """
@@ -55,32 +55,24 @@ def cond_std(values, q_lo: float = 0.1, q_hi: float = 0.9) -> float:
     return std
 
 
-def normalize(values, center: str = "median") -> np.ndarray:
-    """(v - center) / cond_std(v); raises on zero conditional std."""
+def normalize(values) -> np.ndarray:
+    """(v - median(v)) / cond_std(v); raises on zero conditional std."""
     v = np.asarray(values, dtype=float)
-    if center == "median":
-        c = float(np.median(v))
-    elif center == "mean":
-        c = float(np.mean(v))
-    else:
-        raise ConfigError(f"center must be 'median' or 'mean', got {center!r}")
     s = cond_std(v)
     if s == 0.0:
         raise DataError("zero conditional standard deviation; cannot normalize")
-    return (v - c) / s
+    return (v - float(np.median(v))) / s
 
 
 @dataclass(frozen=True)
 class EcfmTrace:
-    """ECFM values C(1..n), their n-1 increments, and (when the series came
-    from a spectrogram bin) the bin's center frequency."""
+    """ECFM values C(1..n) and their n-1 increments."""
 
     values: np.ndarray
     increments: np.ndarray
-    source_freq_hz: float | None = None
 
 
-def ecfm(values, source_freq_hz: float | None = None) -> EcfmTrace:
+def ecfm(values) -> EcfmTrace:
     """Running fourth-moment trace of a series, using the full-sample mean."""
     v = np.asarray(values, dtype=float)
     if v.ndim != 1 or len(v) < 2:
@@ -89,4 +81,4 @@ def ecfm(values, source_freq_hz: float | None = None) -> EcfmTrace:
     dev4 = dev2 * dev2  # `** 4` takes a slow, layout-dependent path for negative bases
     k = np.arange(1, len(v) + 1, dtype=float)
     c = np.cumsum(dev4) / k
-    return EcfmTrace(values=c, increments=np.diff(c), source_freq_hz=source_freq_hz)
+    return EcfmTrace(values=c, increments=np.diff(c))

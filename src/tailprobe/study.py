@@ -3,7 +3,9 @@
 Replicate r of scenario s draws its sample with seed
 ``seed + s*10**6 + r`` so any row can be regenerated in isolation; the
 Monte-Carlo calibrations inside the verdict share the study seed, so the
-expensive nulls are computed once per configuration. Outputs are a CSV of
+expensive nulls are computed once per configuration: the first row builds
+them with ``workers`` threads, and the remaining rows reuse them, ``workers``
+rows at a time. Outputs are a CSV of
 per-replicate slope summaries and verdicts plus a JSON summary, both written
 deterministically (same bytes for the same config, any worker count).
 """
@@ -12,6 +14,7 @@ from __future__ import annotations
 
 import json
 import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,8 +31,7 @@ from .errors import ConfigError
 from .quantiles import quantile
 from .segmentation import SegmentationConfig
 from .tfr import SpectrogramConfig
-from .verdict import VarianceVerdict, assess
-from . import verdict as _verdict_mod
+from .verdict import assess
 
 _LOW_CONFIDENCE_REPLICATES = 10  # fewer than this flags the summary
 
@@ -154,7 +156,7 @@ def _replicate_seed(base_seed: int, scenario_index: int, replicate: int) -> int:
     return base_seed + scenario_index * 10**6 + replicate
 
 
-def _one_row(cfg: StudyConfig, s: int, r: int) -> tuple[StudyRow, VarianceVerdict]:
+def _one_row(cfg: StudyConfig, s: int, r: int, workers: int = 1) -> StudyRow:
     scen = cfg.scenarios[s]
     x = sample(scen.spec, cfg.n_samples, _replicate_seed(cfg.seed, s, r))
     v = assess(
@@ -165,9 +167,9 @@ def _one_row(cfg: StudyConfig, s: int, r: int) -> tuple[StudyRow, VarianceVerdic
         seed=cfg.seed,
         bootstrap=cfg.bootstrap,
         calibration_replicates=cfg.calibration_replicates,
-        workers=1,  # parallelism is across replicates
+        workers=workers,
     )
-    row = StudyRow(
+    return StudyRow(
         scenario=scen.name,
         replicate=r,
         median_abs_slope=v.profile.median_abs,
@@ -175,40 +177,17 @@ def _one_row(cfg: StudyConfig, s: int, r: int) -> tuple[StudyRow, VarianceVerdic
         td_finite=v.td_finite,
         category=v.category,
     )
-    return row, v
-
-
-def _prewarm_caches(cfg: StudyConfig) -> None:
-    """Build the shared Monte-Carlo nulls once, with worker parallelism,
-    before replicates run (avoids duplicate work across threads)."""
-    _verdict_mod._tfd_threshold_cached(
-        cfg.n_samples, cfg.spect, cfg.band, cfg.seg,
-        cfg.calibration_replicates, cfg.seed, cfg.workers,
-    )
-    _verdict_mod._td_threshold_cached(
-        cfg.n_samples, cfg.seg, cfg.calibration_replicates, cfg.seed, cfg.workers
-    )
-    _verdict_mod._pipeline_null_ks(
-        cfg.n_samples, cfg.spect, cfg.band, cfg.bootstrap,
-        cfg.seed + _verdict_mod._NULL_SEED_OFFSET, cfg.workers,
-    )
-    _verdict_mod._gaussian_ks_null(
-        cfg.n_samples, cfg.bootstrap,
-        cfg.seed + _verdict_mod._TDGAUSS_SEED_OFFSET, cfg.workers,
-    )
 
 
 def run_study(cfg: StudyConfig, out_dir: str | None = None) -> StudyResult:
     """Run every scenario x replicate, optionally writing study_slopes.csv
     and study_summary.json into out_dir."""
-    _prewarm_caches(cfg)
     tasks = [(s, r) for s in range(len(cfg.scenarios)) for r in range(cfg.replicates)]
-
-    def one(i: int) -> StudyRow:
-        s, r = tasks[i]
-        return _one_row(cfg, s, r)[0]
-
-    rows = tuple(_verdict_mod._parallel_map(one, len(tasks), cfg.workers))
+    # The first row builds the shared nulls with worker parallelism; the
+    # rest only read them, so they run in parallel without duplicate work.
+    first = _one_row(cfg, *tasks[0], workers=cfg.workers)
+    with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
+        rows = (first, *pool.map(lambda task: _one_row(cfg, *task), tasks[1:]))
 
     scenarios_summary = []
     for s, scen in enumerate(cfg.scenarios):

@@ -13,25 +13,9 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import special
 
 from .errors import ConfigError, DataError
-
-
-def bessel_i0(x) -> np.ndarray | float:
-    """Modified Bessel function I0 via its power series
-    sum_k ((x^2/4)^k / (k!)^2), accurate to better than 1e-10 relative
-    error for 0 <= x <= 20 (all supported Kaiser shapes)."""
-    x = np.asarray(x, dtype=float)
-    q = x * x / 4.0
-    term = np.ones_like(q)
-    total = np.ones_like(q)
-    # 60 terms is far past convergence for x <= 20 (terms peak near k ~ x/2).
-    for k in range(1, 60):
-        term = term * q / (k * k)
-        total = total + term
-        if np.all(term <= 1e-18 * total):
-            break
-    return total if total.ndim else float(total)
 
 
 @functools.lru_cache(maxsize=16)
@@ -54,7 +38,7 @@ def kaiser_window(length: int, beta: float) -> np.ndarray:
         half = (length + 1) // 2
         m = np.arange(half)
         r = 2.0 * m / (length - 1) - 1.0
-        w_half = np.asarray(bessel_i0(beta * np.sqrt(1.0 - r * r))) / bessel_i0(beta)
+        w_half = special.i0(beta * np.sqrt(1.0 - r * r)) / special.i0(beta)
         w = np.empty(length)
         w[:half] = w_half
         w[length - half:] = w_half[::-1]

@@ -30,9 +30,11 @@ Decision layers, from raw signal to category:
    correlate the bins, which invalidates the iid bootstrap here), plus a
    Gaussian-family MC-KS on the time-domain signal. Both must pass.
 
-Caches for the Monte-Carlo nulls are keyed on the full configuration and
-seeded deterministically (per-task seed = base seed XOR task index), so
-verdicts are byte-identical across runs and worker counts.
+The Monte-Carlo nulls (both slope thresholds, the chi2 pipeline null and
+the TD Gaussian KS null) live in one table, each keyed on the full
+configuration that sets it and never on ``workers``. They are seeded
+deterministically (per-task seed = base seed XOR task index), so verdicts
+are byte-identical across runs and worker counts.
 """
 
 from __future__ import annotations
@@ -248,6 +250,25 @@ def _parallel_map(fn, n_tasks: int, workers: int) -> list:
         return list(pool.map(fn, range(n_tasks)))
 
 
+# The memoized Monte-Carlo nulls. A key is a tuple: the table's tag ("tfd",
+# "td", "chi2", "gauss"), then every value that sets the table.
+_NULLS: dict = {}
+
+
+def _memo(key: tuple, build):
+    """The table stored under ``key``, built by ``build()`` on first use."""
+    if key not in _NULLS:
+        _NULLS[key] = build()
+    return _NULLS[key]
+
+
+def clear_caches() -> None:
+    """Drop all memoized Monte-Carlo tables (calibration thresholds and
+    null KS distributions). Only needed to force a cold recompute, e.g.
+    when checking that results are reproducible from scratch."""
+    _NULLS.clear()
+
+
 def calibrate_threshold(
     n_samples: int,
     spect_cfg: SpectrogramConfig,
@@ -271,27 +292,6 @@ def calibrate_threshold(
 
     medians = np.asarray(_parallel_map(one, replicates, workers))
     return float(quantile(medians, quantile_level))
-
-
-_TFD_THRESHOLD_CACHE: dict = {}
-
-
-def _tfd_threshold_cached(
-    n_samples: int,
-    spect_cfg: SpectrogramConfig,
-    band: tuple[float, float] | None,
-    seg_cfg: SegmentationConfig,
-    replicates: int,
-    seed: int,
-    workers: int,
-) -> float:
-    key = (n_samples, spect_cfg, band, seg_cfg, replicates, seed)
-    if key not in _TFD_THRESHOLD_CACHE:
-        _TFD_THRESHOLD_CACHE[key] = calibrate_threshold(
-            n_samples, spect_cfg, band, seg_cfg,
-            replicates=replicates, seed=seed, workers=workers,
-        )
-    return _TFD_THRESHOLD_CACHE[key]
 
 
 def calibrate_td_threshold(
@@ -560,20 +560,6 @@ class TdVerdict:
         return self.finite
 
 
-_TD_THRESHOLD_CACHE: dict = {}
-
-
-def _td_threshold_cached(
-    n: int, seg_cfg: SegmentationConfig, replicates: int, seed: int, workers: int
-) -> float:
-    key = (n, seg_cfg, replicates, seed)
-    if key not in _TD_THRESHOLD_CACHE:
-        _TD_THRESHOLD_CACHE[key] = calibrate_td_threshold(
-            n, seg_cfg, replicates=replicates, seed=seed, workers=workers
-        )
-    return _TD_THRESHOLD_CACHE[key]
-
-
 def td_verdict(
     values,
     seg_cfg: SegmentationConfig = SegmentationConfig(),
@@ -591,8 +577,12 @@ def td_verdict(
     if x.ndim != 1 or len(x) < 20:
         raise DataError(f"need a 1-D signal of length >= 20, got shape {x.shape}")
     slope, used_fallback = _td_slope(x, seg_cfg)
-    threshold = _td_threshold_cached(
-        len(x), seg_cfg, calibration_replicates, seed, workers
+    n = len(x)
+    threshold = _memo(
+        ("td", n, seg_cfg, calibration_replicates, seed),
+        lambda: calibrate_td_threshold(
+            n, seg_cfg, replicates=calibration_replicates, seed=seed, workers=workers
+        ),
     )
     evidence = tail_evidence(x)
     return TdVerdict(
@@ -637,9 +627,6 @@ def _bin_ks_stats(power: np.ndarray) -> np.ndarray:
     return ks
 
 
-_PIPELINE_NULL_CACHE: dict = {}
-
-
 def _pipeline_null_ks(
     n_samples: int,
     spect_cfg: SpectrogramConfig,
@@ -649,10 +636,7 @@ def _pipeline_null_ks(
     workers: int,
 ) -> np.ndarray:
     """Null KS matrix (bootstrap x bins): Gaussian signals pushed through the
-    same spectrogram configuration, refitted per bin. Cached on full config."""
-    key = (n_samples, spect_cfg, band, bootstrap, seed)
-    if key in _PIPELINE_NULL_CACHE:
-        return _PIPELINE_NULL_CACHE[key]
+    same spectrogram configuration, refitted per bin."""
 
     def one(b: int) -> np.ndarray:
         rng = np.random.default_rng(seed ^ b)
@@ -661,37 +645,17 @@ def _pipeline_null_ks(
         idx = band_bin_indices(spec, band)
         return _bin_ks_stats(spec.values[:, idx])
 
-    rows = _parallel_map(one, bootstrap, workers)
-    out = np.vstack(rows)
-    _PIPELINE_NULL_CACHE[key] = out
-    return out
-
-
-_GAUSS_KS_NULL_CACHE: dict = {}
-
-
-def clear_caches() -> None:
-    """Drop all memoized Monte-Carlo tables (calibration thresholds and
-    null KS distributions). Only needed to force a cold recompute, e.g.
-    when checking that results are reproducible from scratch."""
-    _TFD_THRESHOLD_CACHE.clear()
-    _TD_THRESHOLD_CACHE.clear()
-    _PIPELINE_NULL_CACHE.clear()
-    _GAUSS_KS_NULL_CACHE.clear()
+    return np.vstack(_parallel_map(one, bootstrap, workers))
 
 
 def _gaussian_ks_null(n: int, bootstrap: int, seed: int, workers: int) -> np.ndarray:
-    key = (n, bootstrap, seed)
-    if key in _GAUSS_KS_NULL_CACHE:
-        return _GAUSS_KS_NULL_CACHE[key]
+    """Sorted Gaussian-family KS distances of ``bootstrap`` Gaussian draws."""
 
     def one(b: int) -> float:
         rng = np.random.default_rng(seed ^ b)
         return _gauss_ks(rng.standard_normal(n))
 
-    out = np.sort(np.asarray(_parallel_map(one, bootstrap, workers)))
-    _GAUSS_KS_NULL_CACHE[key] = out
-    return out
+    return np.sort(np.asarray(_parallel_map(one, bootstrap, workers)))
 
 
 # Fixed offsets separating the Monte-Carlo subsystems' seed streams.
@@ -711,10 +675,13 @@ def chi2_evidence(
     pipeline-matched null, and a TD Gaussian-family MC-KS p-value."""
     if bootstrap < 1:
         raise ConfigError(f"bootstrap count must be >= 1, got {bootstrap}")
+    n = len(values)
     idx = band_bin_indices(spec, band)
     ks = _bin_ks_stats(spec.values[:, idx])
-    null = _pipeline_null_ks(
-        len(values), spec.config, band, bootstrap, seed + _NULL_SEED_OFFSET, workers
+    null_seed = seed + _NULL_SEED_OFFSET
+    null = _memo(
+        ("chi2", n, spec.config, band, bootstrap, null_seed),
+        lambda: _pipeline_null_ks(n, spec.config, band, bootstrap, null_seed, workers),
     )
     p = np.full(len(idx), np.nan)
     valid = np.isfinite(ks)
@@ -725,8 +692,10 @@ def chi2_evidence(
         raise DataError("all bins in the band are degenerate")
     median_p = float(np.median(p[valid]))
     frac_low = float(np.mean(p[valid] < 0.05))
-    gnull = _gaussian_ks_null(
-        len(values), bootstrap, seed + _TDGAUSS_SEED_OFFSET, workers
+    gauss_seed = seed + _TDGAUSS_SEED_OFFSET
+    gnull = _memo(
+        ("gauss", n, bootstrap, gauss_seed),
+        lambda: _gaussian_ks_null(n, bootstrap, gauss_seed, workers),
     )
     gstat = _gauss_ks(np.asarray(values, dtype=float))
     td_p = float((1 + np.sum(gnull >= gstat)) / (len(gnull) + 1))
@@ -794,9 +763,12 @@ def assess(
     x = np.asarray(values, dtype=float)
     spec = spectrogram(x, spect_cfg)
     profile = slope_profile(spec, band, seg_cfg)
-    tfd_threshold = _tfd_threshold_cached(
-        len(x), spect_cfg, band, seg_cfg,
-        replicates=calibration_replicates, seed=seed, workers=workers,
+    tfd_threshold = _memo(
+        ("tfd", len(x), spect_cfg, band, seg_cfg, calibration_replicates, seed),
+        lambda: calibrate_threshold(
+            len(x), spect_cfg, band, seg_cfg,
+            replicates=calibration_replicates, seed=seed, workers=workers,
+        ),
     )
     td = td_verdict(
         x, seg_cfg,

@@ -79,11 +79,6 @@ def test_normalize_median_center():
 
 
 def test_normalize_mean_center_and_errors():
-    v = np.random.default_rng(1).standard_normal(100)
-    z = normalize(v, center="mean")
-    npt.assert_allclose(np.mean(z), 0.0, atol=1e-12)
-    with pytest.raises(ConfigError):
-        normalize(v, center="mode")
     with pytest.raises(DataError):
         normalize(np.full(100, 3.0))
 
@@ -111,12 +106,6 @@ def test_ecfm_uses_full_sample_mean():
     a = ecfm(x).values[-1]
     b = ecfm(rng.permutation(x)).values[-1]
     npt.assert_allclose(a, b, rtol=1e-12)
-
-
-def test_ecfm_carries_source_freq():
-    tr = ecfm(np.array([1.0, 2.0, 3.0]), source_freq_hz=440.0)
-    assert tr.source_freq_hz == 440.0
-    assert ecfm(np.array([1.0, 2.0])).source_freq_hz is None
 
 
 def test_ecfm_validation():

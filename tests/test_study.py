@@ -152,6 +152,12 @@ def test_run_study_worker_invariant(tmp_path):
         assert a == b, f"{name} differs across worker counts"
 
 
+def test_run_study_builds_each_null_once(null_builds):
+    clear_caches()
+    run_study(_tiny_config(workers=3))
+    assert null_builds == {name: [3] for name in null_builds}
+
+
 def test_run_study_accuracy_on_gaussian_scenario():
     cfg = StudyConfig(scenarios=(parse_scenario("stable:2:1"),),
                       n_samples=4000, replicates=10, bootstrap=120,

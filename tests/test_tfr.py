@@ -1,4 +1,4 @@
-"""Spectrogram machinery tests: Bessel window against scipy, short-time
+"""Spectrogram machinery tests: Kaiser window against scipy, short-time
 transform against a direct windowed-DFT oracle, frame geometry, and
 sub-signal extraction."""
 
@@ -12,25 +12,11 @@ from tailprobe import (
     ConfigError,
     DataError,
     SpectrogramConfig,
-    bessel_i0,
     kaiser_window,
     spectrogram,
     stft,
     sub_signal,
 )
-
-
-# ------------------------------------------------------------------- bessel
-
-def test_bessel_i0_against_scipy():
-    x = np.linspace(0.0, 20.0, 401)
-    ours = np.array([bessel_i0(float(v)) for v in x])
-    npt.assert_allclose(ours, special.i0(x), rtol=1e-10)
-
-
-def test_bessel_i0_spot_values():
-    assert bessel_i0(0.0) == 1.0
-    npt.assert_allclose(bessel_i0(5.0), 27.239871823604442, rtol=1e-12)
 
 
 # ------------------------------------------------------------------- window

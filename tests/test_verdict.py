@@ -305,3 +305,15 @@ def test_assess_worker_invariance():
     assert a.category == b.category
     assert a.tfd_threshold == b.tfd_threshold
     npt.assert_array_equal(a.chi2.bin_p_values, b.chi2.bin_p_values)
+
+
+def test_assess_builds_each_null_once_for_any_worker_count(null_builds):
+    clear_caches()
+    rng = np.random.default_rng(102)
+    kw = dict(spect_cfg=CFG, seed=SEED, bootstrap=BOOT, calibration_replicates=CAL)
+    assess(rng.standard_normal(N), workers=1, **kw)
+    assess(rng.standard_normal(N), workers=3, **kw)
+    assert null_builds == {name: [1] for name in null_builds}
+    clear_caches()
+    assess(rng.standard_normal(N), workers=3, **kw)
+    assert null_builds == {name: [1, 3] for name in null_builds}
