@@ -16,8 +16,10 @@ from __future__ import annotations
 import argparse
 import sys
 
+import numpy as np
+
 from .analysis import AnalysisConfig, analyze, write_report
-from .errors import ConfigError, TailprobeError
+from .errors import ComputeError, ConfigError, TailprobeError
 from .gof import ks_pvalue_mc
 from .segmentation import SegmentationConfig
 from .signal_io import DEFAULT_SAMPLE_RATE_HZ, load_signal
@@ -343,6 +345,9 @@ def main(argv=None) -> int:
     except TailprobeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
+    except (np.linalg.LinAlgError, FloatingPointError, OverflowError) as exc:
+        print(f"error: numerical failure: {exc}", file=sys.stderr)
+        return ComputeError.exit_code
 
 
 if __name__ == "__main__":

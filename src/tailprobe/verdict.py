@@ -28,7 +28,9 @@ Decision layers, from raw signal to category:
    moment-fitted generalized chi-squared, calibrated against a Monte-Carlo
    null pushed through the same spectrogram pipeline (overlapping frames
    correlate the bins, which invalidates the iid bootstrap here), plus a
-   Gaussian-family MC-KS on the time-domain signal. Both must pass.
+   Gaussian-family MC-KS on the time-domain signal. Both must pass. The
+   per-bin KS is exact, but the CDF is evaluated only where the maximum
+   can lie (values at sparse knots bound it in between).
 
 The Monte-Carlo nulls (both slope thresholds, the chi2 pipeline null and
 the TD Gaussian KS null) live in one table, each keyed on the full
@@ -606,9 +608,20 @@ class Chi2Evidence:
     passed: bool
 
 
+_KS_KNOT_STRIDE = 4  # the KS kernel's CDF knots: every 4th order statistic
+_KS_SLACK = 1e-12    # margin in case gammainc rounds non-monotonically
+
+
 def _bin_ks_stats(power: np.ndarray) -> np.ndarray:
     """KS distance per column between binned power and its moment-fitted
-    generalized chi-squared law. Degenerate columns give NaN."""
+    generalized chi-squared law. Degenerate columns give NaN.
+
+    Exact, but the CDF is evaluated only where the maximum can lie: it is
+    monotone along the order statistics, so its values at two knots bound
+    both KS terms, F_j - j/n and (j+1)/n - F_j, at every index between them.
+    The knots (and the last index) are evaluated for every bin; a block
+    between them only if its bound plus the slack beats the knots' maximum.
+    """
     nt, nb = power.shape
     m = power.mean(axis=0)
     v = power.var(axis=0, ddof=1)
@@ -616,14 +629,29 @@ def _bin_ks_stats(power: np.ndarray) -> np.ndarray:
     ks = np.full(nb, np.nan)
     if not np.any(valid):
         return ks
-    theta = 2.0 * m[valid] ** 2 / v[valid]
+    a = 2.0 * m[valid] ** 2 / v[valid] / 2.0  # theta / 2, rounded as theta is
     scale = v[valid] / m[valid]  # = 2 * beta
-    xs = np.sort(power[:, valid], axis=0)
-    f = special.gammainc(theta[None, :] / 2.0, xs / scale[None, :])
-    i = np.arange(1, nt + 1)[:, None]
-    ks[valid] = np.maximum(
-        (f - (i - 1) / nt).max(axis=0), (i / nt - f).max(axis=0)
-    )
+    x = np.sort(power[:, valid].T, axis=1) / scale[:, None]  # one row per bin
+
+    def terms(f: np.ndarray, j: np.ndarray) -> np.ndarray:
+        return np.maximum(f - j / nt, (j + 1) / nt - f)
+
+    knots = np.union1d(np.arange(0, nt, _KS_KNOT_STRIDE), [nt - 1])
+    fk = special.gammainc(a[:, None], x[:, knots])
+    best = terms(fk, knots).max(axis=1)
+    bound = np.maximum(fk[:, 1:] - (knots[:-1] + 1) / nt, knots[1:] / nt - fk[:, :-1])
+    # Surviving blocks in bin order; each expands to its interior indices.
+    row, block = np.nonzero(bound + _KS_SLACK > best[:, None])
+    count = np.diff(knots)[block] - 1
+    rows = np.repeat(row, count)
+    if len(rows):
+        within = np.arange(len(rows)) - np.repeat(np.cumsum(count) - count, count)
+        j = np.repeat(knots[block] + 1, count) + within
+        t = terms(special.gammainc(a[rows], x[rows, j]), j)
+        first = np.flatnonzero(np.append(True, rows[1:] != rows[:-1]))
+        hit = rows[first]
+        best[hit] = np.maximum(best[hit], np.maximum.reduceat(t, first))
+    ks[valid] = best
     return ks
 
 
@@ -678,18 +706,17 @@ def chi2_evidence(
     n = len(values)
     idx = band_bin_indices(spec, band)
     ks = _bin_ks_stats(spec.values[:, idx])
+    valid = np.isfinite(ks)
+    if not np.any(valid):
+        raise DataError("all bins in the band are degenerate")
     null_seed = seed + _NULL_SEED_OFFSET
     null = _memo(
         ("chi2", n, spec.config, band, bootstrap, null_seed),
         lambda: _pipeline_null_ks(n, spec.config, band, bootstrap, null_seed, workers),
     )
     p = np.full(len(idx), np.nan)
-    valid = np.isfinite(ks)
-    if np.any(valid):
-        exceed = np.nansum(null[:, valid] >= ks[valid][None, :], axis=0)
-        p[valid] = (1.0 + exceed) / (bootstrap + 1.0)
-    if not np.any(valid):
-        raise DataError("all bins in the band are degenerate")
+    exceed = np.sum(null[:, valid] >= ks[valid][None, :], axis=0)
+    p[valid] = (1.0 + exceed) / (bootstrap + 1.0)
     median_p = float(np.median(p[valid]))
     frac_low = float(np.mean(p[valid] < 0.05))
     gauss_seed = seed + _TDGAUSS_SEED_OFFSET

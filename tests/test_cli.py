@@ -59,6 +59,18 @@ def test_analyze_missing_input_exits_3(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_numerical_failure_exits_4(tmp_path, monkeypatch, capsys):
+    def failing_analyze(signal, cfg):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr("tailprobe.cli.analyze", failing_analyze)
+    _write_gaussian_csv(tmp_path / "sig.csv", n=100)
+    rc = main(["analyze", "--input", str(tmp_path / "sig.csv")])
+    assert rc == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "SVD did not converge" in err
+
+
 def test_analyze_without_input_exits_2(capsys):
     rc = main(["analyze"])
     assert rc == 2

@@ -230,12 +230,14 @@ def test_chi2_evidence_infinite_variance_rejects_bins():
     assert not ev.passed
 
 
-def test_chi2_evidence_rejects_degenerate_spectrogram():
+def test_chi2_evidence_rejects_degenerate_spectrogram(null_builds):
+    clear_caches()
     spec = _synthetic_spectrogram()
     spec.values[:, 10:] = 3.0
     x = np.random.default_rng(1).standard_normal(400)
-    with pytest.raises(DataError):
+    with pytest.raises(DataError, match="degenerate"):
         chi2_evidence(x, spec, None, bootstrap=10, seed=0)
+    assert null_builds == {name: [] for name in null_builds}  # raised before any null
 
 
 # -------------------------------------------------------------- classification
