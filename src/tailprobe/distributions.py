@@ -134,6 +134,18 @@ class TailResult(NamedTuple):
     asymptotic: bool
 
 
+# Stream ids: every Monte-Carlo use draws from stream(seed, id, ...), so no
+# two uses, and no two indices within a use, share a bitstream (NEP 19).
+TFD_CALIBRATION, TD_CALIBRATION, CHI2_NULL, TD_GAUSS_NULL, STUDY = range(5)
+
+
+def stream(seed: int, *key: int) -> np.random.Generator:
+    """Generator of stream ``key`` under ``seed``; no key: default_rng(seed)."""
+    if seed < 0:
+        raise ConfigError(f"seed must be nonnegative, got {seed}")
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
+
+
 def _as_rng(seed) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed

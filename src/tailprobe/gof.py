@@ -23,6 +23,7 @@ from .distributions import (
     cdf,
     fit_gen_chi2,
     sample as draw,
+    stream,
 )
 from .errors import ConfigError, DataError
 
@@ -99,7 +100,7 @@ def ks_pvalue_mc(
     fitted, transformed = _fit_family(v, family)
     stat = ks_stat(transformed, fitted)
     n = len(v)
-    rng = np.random.default_rng(seed)
+    rng = stream(seed)
     exceed = 0
     for _ in range(b):
         if family == "gaussian":

@@ -1,11 +1,11 @@
 """Simulation studies: scenario sweeps with per-replicate verdicts.
 
-Replicate r of scenario s draws its sample with seed
-``seed + s*10**6 + r`` so any row can be regenerated in isolation; the
-Monte-Carlo calibrations inside the verdict share the study seed, so the
-expensive nulls are computed once per configuration: the first row builds
-them with ``workers`` threads, and the remaining rows reuse them, ``workers``
-rows at a time. Outputs are a CSV of
+Replicate r of scenario s draws its sample from the stream
+``(seed, STUDY, s, r)`` of ``distributions.stream``, so any row can be
+regenerated in isolation. The verdict's Monte-Carlo nulls draw from their
+own streams of the same seed, so they are computed once per configuration:
+the first row builds them with ``workers`` threads, and the remaining rows
+reuse them, ``workers`` rows at a time. Outputs are a CSV of
 per-replicate slope summaries and verdicts plus a JSON summary, both written
 deterministically (same bytes for the same config, any worker count).
 """
@@ -20,12 +20,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .distributions import (
+    STUDY,
     AlphaStable,
     DistributionSpec,
     GenChi2,
     SymPareto,
     TLocScale,
     sample,
+    stream,
 )
 from .errors import ConfigError
 from .quantiles import quantile
@@ -127,6 +129,12 @@ class StudyConfig:
             raise ConfigError("need at least one scenario")
         if self.replicates < 1:
             raise ConfigError(f"replicates must be >= 1, got {self.replicates}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
+        if self.bootstrap < 1:
+            raise ConfigError(f"bootstrap must be >= 1, got {self.bootstrap}")
+        if self.workers < 1:
+            raise ConfigError(f"workers must be >= 1, got {self.workers}")
         if self.n_samples < 2 * self.spect.window_length:
             raise ConfigError(
                 f"n_samples={self.n_samples} too short for window length "
@@ -152,13 +160,9 @@ class StudyResult:
     summary_json_path: str | None = None
 
 
-def _replicate_seed(base_seed: int, scenario_index: int, replicate: int) -> int:
-    return base_seed + scenario_index * 10**6 + replicate
-
-
 def _one_row(cfg: StudyConfig, s: int, r: int, workers: int = 1) -> StudyRow:
     scen = cfg.scenarios[s]
-    x = sample(scen.spec, cfg.n_samples, _replicate_seed(cfg.seed, s, r))
+    x = sample(scen.spec, cfg.n_samples, stream(cfg.seed, STUDY, s, r))
     v = assess(
         x,
         spect_cfg=cfg.spect,

@@ -11,18 +11,19 @@ Decision layers, from raw signal to category:
    statistics are calibrated as high quantiles of a Gaussian null
    simulated at the same length and configuration.
 
-2. Tail identification (the decider for the TD/TFD booleans): a
-   stability-index estimate from the empirical characteristic function
-   gates the Gaussian regime; otherwise symmetric-Pareto and t fits are
-   accepted only when their exact KS distance is small AND the implied tail
-   index agrees with a peaks-over-threshold shape estimate. Accepted fits
-   make the call via the tail-index boundaries (index > 2: TD variance
-   finite; index > 4: spectrogram variance finite); anything else reads as
-   stable-like, infinite in both domains. Slope thresholds alone cannot
-   make this call: heavy-but-finite families relax after fourth-moment
-   jumps with larger late-segment slopes than near-Gaussian infinite-
-   variance inputs, so their orderings invert exactly where the verdict
-   matters (confirmed by measurement; the estimators here are private).
+2. Tail identification (the decider for the TD/TFD booleans), on the sample
+   centred once on its median: a stability-index estimate from the
+   empirical characteristic function gates the Gaussian regime; otherwise
+   symmetric-Pareto and t fits are accepted only when their exact KS
+   distance is small AND the implied tail index agrees with a
+   peaks-over-threshold shape estimate. Accepted fits make the call via the
+   tail-index boundaries (index > 2: TD variance finite; index > 4:
+   spectrogram variance finite); anything else reads as stable-like,
+   infinite in both domains. Slope thresholds alone cannot make this call:
+   heavy-but-finite families relax after fourth-moment jumps with larger
+   late-segment slopes than near-Gaussian infinite-variance inputs, so
+   their orderings invert exactly where the verdict matters (confirmed by
+   measurement; the estimators here are private).
 
 3. Spectrogram-law check (chi2): per-bin KS of binned power against a
    moment-fitted generalized chi-squared, calibrated against a Monte-Carlo
@@ -34,9 +35,10 @@ Decision layers, from raw signal to category:
 
 The Monte-Carlo nulls (both slope thresholds, the chi2 pipeline null and
 the TD Gaussian KS null) live in one table, each keyed on the full
-configuration that sets it and never on ``workers``. They are seeded
-deterministically (per-task seed = base seed XOR task index), so verdicts
-are byte-identical across runs and worker counts.
+configuration that sets it and never on ``workers``. Replicate i of a
+null draws from ``distributions.stream(seed, id, i)``, with one stream id
+per null, so verdicts are byte-identical across runs and worker counts and
+no two draws share a bitstream.
 """
 
 from __future__ import annotations
@@ -47,9 +49,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .distributions import AlphaStable, SymPareto, TLocScale
+from .distributions import AlphaStable, SymPareto, TLocScale, stream
+from .distributions import CHI2_NULL, TD_CALIBRATION, TD_GAUSS_NULL, TFD_CALIBRATION
 from .ecfm import cond_std_rows
-from .errors import ConfigError, DataError
+from .errors import ComputeError, ConfigError, DataError
 from .gof import ks_stat
 from .quantiles import iqr, quantile
 from .segmentation import SegmentationConfig
@@ -244,12 +247,18 @@ def slope_profile(
     return SlopeProfile(freqs_hz=freqs, slopes=slopes, status=status, band=resolved)
 
 
-def _parallel_map(fn, n_tasks: int, workers: int) -> list:
-    """Order-preserving map; identical results for any worker count."""
+def _gaussian_stats(stat, n: int, count: int, seed: int, stream_id: int,
+                    workers: int) -> np.ndarray:
+    """``stat`` of ``count`` white Gaussian draws of length n, stacked in
+    order; draw i comes from stream (seed, stream_id, i), for any workers."""
+
+    def one(i: int):
+        return stat(stream(seed, stream_id, i).standard_normal(n))
+
     if workers <= 1:
-        return [fn(i) for i in range(n_tasks)]
+        return np.asarray([one(i) for i in range(count)])
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, range(n_tasks)))
+        return np.asarray(list(pool.map(one, range(count))))
 
 
 # The memoized Monte-Carlo nulls. A key is a tuple: the table's tag ("tfd",
@@ -286,13 +295,10 @@ def calibrate_threshold(
     absolute bin slope, and return the requested high quantile."""
     if replicates < 20:
         raise ConfigError(f"calibration needs >= 20 replicates, got {replicates}")
-
-    def one(i: int) -> float:
-        rng = np.random.default_rng(seed ^ i)
-        z = rng.standard_normal(n_samples)
-        return slope_profile(spectrogram(z, spect_cfg), band, seg_cfg).median_abs
-
-    medians = np.asarray(_parallel_map(one, replicates, workers))
+    medians = _gaussian_stats(
+        lambda z: slope_profile(spectrogram(z, spect_cfg), band, seg_cfg).median_abs,
+        n_samples, replicates, seed, TFD_CALIBRATION, workers,
+    )
     return float(quantile(medians, quantile_level))
 
 
@@ -307,13 +313,10 @@ def calibrate_td_threshold(
     """Gaussian-null threshold for the time-domain last-segment |slope|."""
     if replicates < 20:
         raise ConfigError(f"calibration needs >= 20 replicates, got {replicates}")
-
-    def one(i: int) -> float:
-        rng = np.random.default_rng(seed ^ i)
-        z = rng.standard_normal(n_samples)
-        return abs(_td_slope(z, seg_cfg)[0])
-
-    stats = np.asarray(_parallel_map(one, replicates, workers))
+    stats = _gaussian_stats(
+        lambda z: abs(_td_slope(z, seg_cfg)[0]),
+        n_samples, replicates, seed, TD_CALIBRATION, workers,
+    )
     return float(quantile(stats, quantile_level))
 
 
@@ -323,7 +326,7 @@ def calibrate_td_threshold(
 def _cf_alpha(x: np.ndarray) -> float:
     """Stability-index estimate: regress ln(-ln |phi(t)|) on ln t over a
     robustly scaled t-grid; 2.0 marks the Gaussian regime."""
-    s0 = float(quantile(np.abs(x - np.median(x)), 0.75))
+    s0 = float(quantile(np.abs(x), 0.75))
     if s0 <= 0:
         return 2.0
     ts = np.array([0.2, 0.4, 0.7, 1.0, 1.5]) / s0
@@ -374,13 +377,13 @@ def _gpd_shape(y: np.ndarray) -> float:
                 lo = m1
             else:
                 hi = m2
-        best_xi = prof(float(np.sqrt(lo * hi)))[1]
+        best_xi = prof(float(np.sqrt(lo) * np.sqrt(hi)))[1]
     return float(best_xi)
 
 
 def _tail_shape(x: np.ndarray, frac: float = GPD_TAIL_FRACTION) -> float:
-    """GPD shape of the top-``frac`` absolute deviations from the median."""
-    a = np.abs(x - np.median(x))
+    """GPD shape of the top-``frac`` absolute values."""
+    a = np.abs(x)
     n = len(a)
     k = max(10, int(round(frac * n)))
     if k >= n:
@@ -390,7 +393,8 @@ def _tail_shape(x: np.ndarray, frac: float = GPD_TAIL_FRACTION) -> float:
 
 
 def _fit_sym_pareto(x: np.ndarray) -> SymPareto:
-    """Symmetric-Pareto ML fit via a golden-section profile over log(scale)."""
+    """Symmetric-Pareto ML fit of a centred sample via a golden-section
+    profile over log(scale)."""
     a = np.abs(np.asarray(x, dtype=float))
     med = float(np.median(a))
     if med <= 0:
@@ -407,7 +411,7 @@ def _fit_sym_pareto(x: np.ndarray) -> SymPareto:
         )
         return ll, g
 
-    lo, hi = np.log(med / 30.0 + 1e-12), np.log(med * 30.0)
+    lo, hi = np.log(med / 30.0), np.log(med * 30.0)
     for _ in range(50):
         m1 = lo + 0.382 * (hi - lo)
         m2 = lo + 0.618 * (hi - lo)
@@ -423,9 +427,10 @@ def _fit_sym_pareto(x: np.ndarray) -> SymPareto:
 
 
 def _fit_t(x: np.ndarray) -> TLocScale:
-    """t location-scale ML fit: golden section over log(nu) with an inner
-    fixed-point iteration for the squared scale."""
-    y = np.asarray(x, dtype=float) - np.median(x)
+    """t ML fit of a centred sample: golden section over log(nu) with an
+    inner fixed-point iteration for the squared scale. Raises ComputeError
+    when the fitted scale is not finite (the squares overflow)."""
+    y = np.asarray(x, dtype=float)
     y2 = y * y
 
     def prof(lognu: float) -> tuple[float, float]:
@@ -460,6 +465,8 @@ def _fit_t(x: np.ndarray) -> TLocScale:
             hi = m2
     lognu = (lo + hi) / 2.0
     _, d = prof(lognu)
+    if not np.isfinite(d):
+        raise ComputeError(f"t fit failed: scale {d} is not finite")
     return TLocScale(nu=float(np.exp(lognu)), delta=float(d))
 
 
@@ -491,8 +498,10 @@ def _gauss_ks(x: np.ndarray) -> float:
 
 def tail_evidence(values: np.ndarray) -> TailEvidence:
     """Tail identification for one time-domain sample (see module docstring
-    for the decision tree and its constants)."""
+    for the decision tree and its constants). Every estimator sees the
+    sample centred on its median, so the call does not depend on location."""
     x = np.asarray(values, dtype=float)
+    x = x - np.median(x)
     n = len(x)
     alpha = _cf_alpha(x)
     xi = _tail_shape(x)
@@ -515,7 +524,7 @@ def tail_evidence(values: np.ndarray) -> TailEvidence:
     pareto = _fit_sym_pareto(x)
     pareto_ks = ks_stat(x, pareto)
     t_fit = _fit_t(x)
-    t_ks = ks_stat(x - np.median(x), t_fit)
+    t_ks = ks_stat(x, t_fit)
     if pareto_ks <= t_ks:
         best_ks, index, family = pareto_ks, pareto.gamma, "pareto"
     else:
@@ -666,29 +675,17 @@ def _pipeline_null_ks(
     """Null KS matrix (bootstrap x bins): Gaussian signals pushed through the
     same spectrogram configuration, refitted per bin."""
 
-    def one(b: int) -> np.ndarray:
-        rng = np.random.default_rng(seed ^ b)
-        z = rng.standard_normal(n_samples)
+    def one(z: np.ndarray) -> np.ndarray:
         spec = spectrogram(z, spect_cfg)
-        idx = band_bin_indices(spec, band)
-        return _bin_ks_stats(spec.values[:, idx])
+        return _bin_ks_stats(spec.values[:, band_bin_indices(spec, band)])
 
-    return np.vstack(_parallel_map(one, bootstrap, workers))
+    return _gaussian_stats(one, n_samples, bootstrap, seed, CHI2_NULL, workers)
 
 
 def _gaussian_ks_null(n: int, bootstrap: int, seed: int, workers: int) -> np.ndarray:
     """Sorted Gaussian-family KS distances of ``bootstrap`` Gaussian draws."""
-
-    def one(b: int) -> float:
-        rng = np.random.default_rng(seed ^ b)
-        return _gauss_ks(rng.standard_normal(n))
-
-    return np.sort(np.asarray(_parallel_map(one, bootstrap, workers)))
-
-
-# Fixed offsets separating the Monte-Carlo subsystems' seed streams.
-_NULL_SEED_OFFSET = 1_000_003
-_TDGAUSS_SEED_OFFSET = 2_000_003
+    stats = _gaussian_stats(_gauss_ks, n, bootstrap, seed, TD_GAUSS_NULL, workers)
+    return np.sort(stats)
 
 
 def chi2_evidence(
@@ -709,20 +706,18 @@ def chi2_evidence(
     valid = np.isfinite(ks)
     if not np.any(valid):
         raise DataError("all bins in the band are degenerate")
-    null_seed = seed + _NULL_SEED_OFFSET
     null = _memo(
-        ("chi2", n, spec.config, band, bootstrap, null_seed),
-        lambda: _pipeline_null_ks(n, spec.config, band, bootstrap, null_seed, workers),
+        ("chi2", n, spec.config, band, bootstrap, seed),
+        lambda: _pipeline_null_ks(n, spec.config, band, bootstrap, seed, workers),
     )
     p = np.full(len(idx), np.nan)
     exceed = np.sum(null[:, valid] >= ks[valid][None, :], axis=0)
     p[valid] = (1.0 + exceed) / (bootstrap + 1.0)
     median_p = float(np.median(p[valid]))
     frac_low = float(np.mean(p[valid] < 0.05))
-    gauss_seed = seed + _TDGAUSS_SEED_OFFSET
     gnull = _memo(
-        ("gauss", n, bootstrap, gauss_seed),
-        lambda: _gaussian_ks_null(n, bootstrap, gauss_seed, workers),
+        ("gauss", n, bootstrap, seed),
+        lambda: _gaussian_ks_null(n, bootstrap, seed, workers),
     )
     gstat = _gauss_ks(np.asarray(values, dtype=float))
     td_p = float((1 + np.sum(gnull >= gstat)) / (len(gnull) + 1))

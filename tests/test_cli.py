@@ -187,6 +187,21 @@ def test_simulate_rejects_malformed_scenario(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--seed", "-1"],
+    ["simulate", "--workers", "0"],
+    ["gof", "--seed", "-1"],
+])
+def test_bad_seed_or_worker_count_exits_2(tmp_path, capsys, argv):
+    values = tmp_path / "vals.txt"
+    values.write_text("".join(f"{k}\n" for k in range(1, 51)))
+    extra = ["--input", str(values), "--bootstrap", "5"] if argv[0] == "gof" else [
+        "--scenario", "stable:2:1", "--n", "4000", "--replicates", "1",
+        "--out-dir", str(tmp_path)]
+    assert main(argv + extra) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_config_file_precedence(tmp_path, monkeypatch, capsys):
     """CLI flag beats config file beats built-in default."""
     monkeypatch.chdir(tmp_path)

@@ -77,6 +77,9 @@ def test_study_config_validation():
         _tiny_config(replicates=0)
     with pytest.raises(ConfigError):
         _tiny_config(n_samples=600)  # shorter than two windows
+    for bad in (dict(seed=-1), dict(bootstrap=0), dict(workers=0)):
+        with pytest.raises(ConfigError):
+            _tiny_config(**bad)
 
 
 # ---------------------------------------------------------------- the study
