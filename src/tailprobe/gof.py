@@ -25,7 +25,7 @@ from .distributions import (
     sample as draw,
     stream,
 )
-from .errors import ConfigError, DataError
+from .errors import ComputeError, ConfigError, DataError
 
 
 def _clean_sample(values) -> np.ndarray:
@@ -77,12 +77,22 @@ def _fit_family(values: np.ndarray, family: str):
     if family == "gaussian":
         m = float(np.mean(values))
         s = float(np.std(values, ddof=1))
+        if not np.isfinite(s):
+            raise ComputeError(f"sample std {s} is not finite (the squares overflow)")
         if s <= 0:
             raise DataError("degenerate sample: zero variance")
         # Standardize and compare against the unit Gaussian (sigma = 1/sqrt(2)
         # in the stable parameterization, whose variance is 2*sigma^2).
         return AlphaStable(alpha=2.0, sigma=1.0 / np.sqrt(2.0)), (values - m) / s
     raise ConfigError(f"family must be 'genchi2' or 'gaussian', got {family!r}")
+
+
+def gauss_ks(values) -> float:
+    """KS distance between the sample, standardized by its mean and ddof=1
+    std, and the unit Gaussian. Raises DataError on zero std and
+    ComputeError when the std is not finite."""
+    spec, z = _fit_family(_clean_sample(values), "gaussian")
+    return ks_stat(z, spec)
 
 
 def ks_pvalue_mc(

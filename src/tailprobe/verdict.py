@@ -11,19 +11,9 @@ Decision layers, from raw signal to category:
    statistics are calibrated as high quantiles of a Gaussian null
    simulated at the same length and configuration.
 
-2. Tail identification (the decider for the TD/TFD booleans), on the sample
-   centred once on its median: a stability-index estimate from the
-   empirical characteristic function gates the Gaussian regime; otherwise
-   symmetric-Pareto and t fits are accepted only when their exact KS
-   distance is small AND the implied tail index agrees with a
-   peaks-over-threshold shape estimate. Accepted fits make the call via the
-   tail-index boundaries (index > 2: TD variance finite; index > 4:
-   spectrogram variance finite); anything else reads as stable-like,
-   infinite in both domains. Slope thresholds alone cannot make this call:
-   heavy-but-finite families relax after fourth-moment jumps with larger
-   late-segment slopes than near-Gaussian infinite-variance inputs, so
-   their orderings invert exactly where the verdict matters (confirmed by
-   measurement; the estimators here are private).
+2. Tail identification (the decider for the TD/TFD booleans) lives in
+   ``tailfit.py``: a Gaussian gate, symmetric-Pareto and t likelihood
+   fits, and a peaks-over-threshold shape check, read as tail indices.
 
 3. Spectrogram-law check (chi2): per-bin KS of binned power against a
    moment-fitted generalized chi-squared, calibrated against a Monte-Carlo
@@ -49,24 +39,18 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .distributions import AlphaStable, SymPareto, TLocScale, stream
+from .distributions import stream
 from .distributions import CHI2_NULL, TD_CALIBRATION, TD_GAUSS_NULL, TFD_CALIBRATION
 from .ecfm import cond_std_rows
 from .errors import ComputeError, ConfigError, DataError
-from .gof import ks_stat
+from .gof import gauss_ks
 from .quantiles import iqr, quantile
 from .segmentation import SegmentationConfig
+from .tailfit import TailEvidence, tail_evidence
 from .tfr import Spectrogram, SpectrogramConfig, spectrogram
 
 # Decision constants, frozen by measurement against the nine reference
 # scenarios (see the acceptance tests for the rates they achieve).
-ALPHA_GAUSSIAN_GATE = 1.955   # CF stability index at/above this: Gaussian regime
-KS_ACCEPT_COEFF = 1.6         # accept a family fit iff KS <= this / sqrt(n)
-TAIL_CONSISTENCY_TOL = 0.18   # |1/fitted_index - gpd_xi| must not exceed this
-XI_HEAVY_OVERRIDE = 0.55      # gpd shape at/above this forces TD-infinite
-GPD_TAIL_FRACTION = 0.05      # top fraction of |x - median| used for gpd shape
-TFD_FINITE_MIN_INDEX = 4.0    # spectrogram variance finite iff tail index > 4
-TD_FINITE_MIN_INDEX = 2.0     # TD variance finite iff tail index > 2
 CHI2_MEDIAN_P_MIN = 0.05      # median per-bin p must exceed this
 TD_GAUSSIAN_P_MIN = 0.01      # TD Gaussian-family MC-KS p must exceed this
 
@@ -155,6 +139,8 @@ def _last_segment_slopes(
     if n < 11:
         return slopes, status
     scale = cond_std_rows(v)
+    if np.any(np.isinf(scale)):
+        raise ComputeError("conditional std is not finite (the squares overflow)")
     kept = np.flatnonzero(scale > 0)
     if len(kept) == 0:
         return slopes, status
@@ -321,239 +307,6 @@ def calibrate_td_threshold(
 
 
 # --------------------------------------------------------------------------
-# Tail identification (private estimators; see module docstring)
-
-def _cf_alpha(x: np.ndarray) -> float:
-    """Stability-index estimate: regress ln(-ln |phi(t)|) on ln t over a
-    robustly scaled t-grid; 2.0 marks the Gaussian regime."""
-    s0 = float(quantile(np.abs(x), 0.75))
-    if s0 <= 0:
-        return 2.0
-    ts = np.array([0.2, 0.4, 0.7, 1.0, 1.5]) / s0
-    phi = np.array([abs(float(np.mean(np.cos(t * x)))) for t in ts])
-    ok = (phi > 0.05) & (phi < 0.99)
-    if ok.sum() < 2:
-        return 2.0
-    slope = np.polyfit(np.log(ts[ok]), np.log(-np.log(phi[ok])), 1)[0]
-    return float(min(max(slope, 0.3), 2.0))
-
-
-def _gpd_shape(y: np.ndarray) -> float:
-    """Profile-likelihood generalized-Pareto shape (xi) of exceedances y > 0."""
-    y = np.asarray(y, dtype=float)
-    y = y[y > 0]
-    k = len(y)
-    if k < 5:
-        return 0.0
-    ymax, ybar = float(y.max()), float(y.mean())
-
-    def prof(tau: float) -> tuple[float, float]:
-        xi = float(np.mean(np.log1p(tau * y)))
-        if xi <= 0:
-            return -np.inf, 0.0
-        return k * (np.log(tau / xi) - xi - 1.0), xi
-
-    taus = np.concatenate(
-        [
-            np.geomspace(1e-6 / ybar, 1e3 / ybar, 60),
-            -np.geomspace(1e-6 / ymax, 0.999 / ymax, 25),
-        ]
-    )
-    best_ll, best_xi, best_tau = -np.inf, 0.0, None
-    for t in taus:
-        if t < 0 and t * ymax <= -1:
-            continue
-        ll, xi = prof(t)
-        if ll > best_ll:
-            best_ll, best_xi, best_tau = ll, xi, t
-    if -k * (np.log(ybar) + 1.0) > best_ll:  # exponential (xi -> 0) wins
-        return 0.0
-    if best_tau is not None and best_tau > 0:
-        lo, hi = best_tau / 3.0, best_tau * 3.0
-        for _ in range(40):
-            m1 = lo * (hi / lo) ** 0.382
-            m2 = lo * (hi / lo) ** 0.618
-            if prof(m1)[0] < prof(m2)[0]:
-                lo = m1
-            else:
-                hi = m2
-        best_xi = prof(float(np.sqrt(lo) * np.sqrt(hi)))[1]
-    return float(best_xi)
-
-
-def _tail_shape(x: np.ndarray, frac: float = GPD_TAIL_FRACTION) -> float:
-    """GPD shape of the top-``frac`` absolute values."""
-    a = np.abs(x)
-    n = len(a)
-    k = max(10, int(round(frac * n)))
-    if k >= n:
-        return 0.0
-    s = np.sort(a)
-    return _gpd_shape(s[n - k :] - s[n - k - 1])
-
-
-def _fit_sym_pareto(x: np.ndarray) -> SymPareto:
-    """Symmetric-Pareto ML fit of a centred sample via a golden-section
-    profile over log(scale)."""
-    a = np.abs(np.asarray(x, dtype=float))
-    med = float(np.median(a))
-    if med <= 0:
-        med = float(np.mean(a)) or 1.0
-
-    def prof(loglam: float) -> tuple[float, float]:
-        lam = np.exp(loglam)
-        m = float(np.mean(np.log1p(a / lam)))
-        if m <= 0:
-            return -np.inf, np.inf
-        g = 1.0 / m
-        ll = len(a) * (np.log(g) + g * loglam) - (g + 1.0) * float(
-            np.sum(np.log(a + lam))
-        )
-        return ll, g
-
-    lo, hi = np.log(med / 30.0), np.log(med * 30.0)
-    for _ in range(50):
-        m1 = lo + 0.382 * (hi - lo)
-        m2 = lo + 0.618 * (hi - lo)
-        if prof(m1)[0] < prof(m2)[0]:
-            lo = m1
-        else:
-            hi = m2
-    loglam = (lo + hi) / 2.0
-    _, g = prof(loglam)
-    if not np.isfinite(g):
-        raise DataError("sample too degenerate for a tail fit")
-    return SymPareto(gamma=g, lam=float(np.exp(loglam)))
-
-
-def _fit_t(x: np.ndarray) -> TLocScale:
-    """t ML fit of a centred sample: golden section over log(nu) with an
-    inner fixed-point iteration for the squared scale. Raises ComputeError
-    when the fitted scale is not finite (the squares overflow)."""
-    y = np.asarray(x, dtype=float)
-    y2 = y * y
-
-    def prof(lognu: float) -> tuple[float, float]:
-        nu = float(np.exp(lognu))
-        if nu > 2.2:
-            d2 = float(np.mean(y2)) / max(nu / (nu - 2.0), 1.5)
-        else:
-            d2 = float(np.var(y))
-        d2 = max(d2, 1e-300)
-        for _ in range(60):
-            d2n = float(np.mean((nu + 1.0) * y2 / (nu + y2 / d2)))
-            if abs(d2n - d2) < 1e-12 * d2:
-                d2 = d2n
-                break
-            d2 = d2n
-        d = np.sqrt(d2)
-        ll = len(y) * (
-            special.gammaln((nu + 1.0) / 2.0)
-            - special.gammaln(nu / 2.0)
-            - 0.5 * np.log(np.pi * nu)
-            - np.log(d)
-        ) - (nu + 1.0) / 2.0 * float(np.sum(np.log1p((y / d) ** 2 / nu)))
-        return ll, d
-
-    lo, hi = np.log(0.6), np.log(60.0)
-    for _ in range(40):
-        m1 = lo + 0.382 * (hi - lo)
-        m2 = lo + 0.618 * (hi - lo)
-        if prof(m1)[0] < prof(m2)[0]:
-            lo = m1
-        else:
-            hi = m2
-    lognu = (lo + hi) / 2.0
-    _, d = prof(lognu)
-    if not np.isfinite(d):
-        raise ComputeError(f"t fit failed: scale {d} is not finite")
-    return TLocScale(nu=float(np.exp(lognu)), delta=float(d))
-
-
-@dataclass(frozen=True)
-class TailEvidence:
-    """Everything the tail-identification layer saw and decided."""
-
-    alpha_cf: float
-    gpd_xi: float
-    pareto_gamma: float
-    pareto_lam: float
-    pareto_ks: float
-    t_nu: float
-    t_delta: float
-    t_ks: float
-    gauss_ks: float
-    accepted_family: str  # "gaussian" | "pareto" | "t" | "none"
-    td_finite: bool
-    tfd_finite: bool
-
-
-def _gauss_ks(x: np.ndarray) -> float:
-    m = float(np.mean(x))
-    s = float(np.std(x, ddof=1))
-    if s <= 0:
-        return 1.0
-    return ks_stat((x - m) / s, AlphaStable(alpha=2.0, sigma=1.0 / np.sqrt(2.0)))
-
-
-def tail_evidence(values: np.ndarray) -> TailEvidence:
-    """Tail identification for one time-domain sample (see module docstring
-    for the decision tree and its constants). Every estimator sees the
-    sample centred on its median, so the call does not depend on location."""
-    x = np.asarray(values, dtype=float)
-    x = x - np.median(x)
-    n = len(x)
-    alpha = _cf_alpha(x)
-    xi = _tail_shape(x)
-    gauss_ks = _gauss_ks(x)
-    if alpha >= ALPHA_GAUSSIAN_GATE:
-        return TailEvidence(
-            alpha_cf=alpha,
-            gpd_xi=xi,
-            pareto_gamma=np.nan,
-            pareto_lam=np.nan,
-            pareto_ks=np.nan,
-            t_nu=np.nan,
-            t_delta=np.nan,
-            t_ks=np.nan,
-            gauss_ks=gauss_ks,
-            accepted_family="gaussian",
-            td_finite=True,
-            tfd_finite=True,
-        )
-    pareto = _fit_sym_pareto(x)
-    pareto_ks = ks_stat(x, pareto)
-    t_fit = _fit_t(x)
-    t_ks = ks_stat(x, t_fit)
-    if pareto_ks <= t_ks:
-        best_ks, index, family = pareto_ks, pareto.gamma, "pareto"
-    else:
-        best_ks, index, family = t_ks, t_fit.nu, "t"
-    tau = KS_ACCEPT_COEFF / np.sqrt(n)
-    accepted = best_ks <= tau and abs(1.0 / index - xi) <= TAIL_CONSISTENCY_TOL
-    if accepted:
-        td = index > TD_FINITE_MIN_INDEX and xi < XI_HEAVY_OVERRIDE
-        tfd = index > TFD_FINITE_MIN_INDEX
-    else:
-        family = "none"
-        td = tfd = False
-    return TailEvidence(
-        alpha_cf=alpha,
-        gpd_xi=xi,
-        pareto_gamma=pareto.gamma,
-        pareto_lam=pareto.lam,
-        pareto_ks=pareto_ks,
-        t_nu=t_fit.nu,
-        t_delta=t_fit.delta,
-        t_ks=t_ks,
-        gauss_ks=gauss_ks,
-        accepted_family=family,
-        td_finite=td,
-        tfd_finite=tfd,
-    )
-
-
-# --------------------------------------------------------------------------
 # Time-domain verdict
 
 @dataclass(frozen=True)
@@ -684,7 +437,7 @@ def _pipeline_null_ks(
 
 def _gaussian_ks_null(n: int, bootstrap: int, seed: int, workers: int) -> np.ndarray:
     """Sorted Gaussian-family KS distances of ``bootstrap`` Gaussian draws."""
-    stats = _gaussian_stats(_gauss_ks, n, bootstrap, seed, TD_GAUSS_NULL, workers)
+    stats = _gaussian_stats(gauss_ks, n, bootstrap, seed, TD_GAUSS_NULL, workers)
     return np.sort(stats)
 
 
@@ -719,7 +472,7 @@ def chi2_evidence(
         ("gauss", n, bootstrap, seed),
         lambda: _gaussian_ks_null(n, bootstrap, seed, workers),
     )
-    gstat = _gauss_ks(np.asarray(values, dtype=float))
+    gstat = gauss_ks(values)
     td_p = float((1 + np.sum(gnull >= gstat)) / (len(gnull) + 1))
     passed = median_p > CHI2_MEDIAN_P_MIN and td_p > TD_GAUSSIAN_P_MIN
     return Chi2Evidence(

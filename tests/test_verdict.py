@@ -8,6 +8,7 @@ import pytest
 
 from tailprobe import (
     AlphaStable,
+    ComputeError,
     ConfigError,
     DataError,
     SegmentationConfig,
@@ -21,15 +22,20 @@ from tailprobe import (
     calibrate_threshold,
     chi2_evidence,
     clear_caches,
+    default_scenarios,
+    ks_pvalue_mc,
+    pdf,
     sample,
     slope_profile,
     spectrogram,
     td_verdict,
 )
+from tailprobe.tailfit import _fit_sym_pareto, _fit_t
 from tailprobe.verdict import (
     STATUS_FALLBACK,
     STATUS_OK,
     STATUS_SKIPPED,
+    _td_slope,
     band_bin_indices,
     classify,
     tail_evidence,
@@ -188,6 +194,54 @@ def test_tail_evidence_index_estimates_are_close():
     assert 4.0 < ev.pareto_gamma < 9.0
     ev = tail_evidence(sample(TLocScale(3.0, 1.0), 10_000, np.random.default_rng(14)))
     assert 2.2 < ev.t_nu < 4.2
+
+
+def _loglik(spec, y):
+    return float(np.sum(np.log(pdf(spec, y))))
+
+
+@pytest.mark.parametrize("k", range(len(default_scenarios())))
+def test_tail_fits_are_likelihood_maxima(k):
+    # Moving any fitted parameter by 1e-4 relative, within its search
+    # bracket, lowers the likelihood.
+    scen = default_scenarios()[k]
+    x = sample(scen.spec, 10_000, np.random.default_rng(k))
+    y = x - np.median(x)
+    t = _fit_t(y)
+    p = _fit_sym_pareto(y)
+    med = float(np.median(np.abs(y)))
+    best_t, best_p = _loglik(t, y), _loglik(p, y)
+    for e in (1e-4, -1e-4):
+        assert best_t >= _loglik(TLocScale(t.nu, t.delta * (1 + e)), y), scen.name
+        if 0.6 <= t.nu * (1 + e) <= 60.0:
+            assert best_t >= _loglik(TLocScale(t.nu * (1 + e), t.delta), y), scen.name
+        assert best_p >= _loglik(SymPareto(p.gamma * (1 + e), p.lam), y), scen.name
+        if med / 30.0 <= p.lam * (1 + e) <= med * 30.0:
+            assert best_p >= _loglik(SymPareto(p.gamma, p.lam * (1 + e)), y), scen.name
+    # delta^2 solves the scale equation of the t likelihood at the fitted nu
+    s, y2 = t.delta**2, y * y
+    residual = s - (t.nu + 1.0) * np.mean(y2 * s / (t.nu * s + y2))
+    assert abs(residual) <= 1e-10 * s, scen.name
+
+
+def test_overflowing_gaussian_is_a_compute_error():
+    x = 1e154 * np.random.default_rng(5).standard_normal(N)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ComputeError):
+            tail_evidence(x)
+        with pytest.raises(ComputeError):
+            _td_slope(x, SegmentationConfig())
+        with pytest.raises(ComputeError):
+            td_verdict(x, calibration_replicates=CAL, seed=SEED)
+        with pytest.raises(ComputeError):
+            ks_pvalue_mc(x, family="gaussian", bootstrap=20)
+        with pytest.raises(ComputeError):
+            _fit_t(x - np.median(x))
+
+
+def test_tail_evidence_rejects_a_constant_signal():
+    with pytest.raises(DataError):
+        tail_evidence(np.full(100, 3.0))
 
 
 def test_td_verdict_heavy_tail():
