@@ -165,8 +165,14 @@ def _fit_t(x: np.ndarray) -> TLocScale:
     Jensen gives g(s0) >= 0, so the steps descend monotonically onto the
     root. Raises ComputeError when the fitted scale is not finite (the
     squares overflow).
+
+    y is first divided by 2^e, e the binary exponent of its RMS: exact, and
+    it keeps the squares normal for samples whose squares would be
+    subnormal. An overflowing RMS gives e = 0.
     """
-    y2 = np.square(np.asarray(x, dtype=float))
+    y = np.asarray(x, dtype=float)
+    e = int(np.frexp(np.sqrt(np.mean(np.square(y))))[1])
+    y2 = np.square(np.ldexp(y, -e))
     n, s0 = len(y2), float(np.mean(y2))
 
     def scale2(nu: float) -> float:
@@ -193,7 +199,7 @@ def _fit_t(x: np.ndarray) -> TLocScale:
         ) - (nu + 1.0) / 2.0 * float(np.sum(np.log1p(y2 / (nu * s))))
 
     nu = float(np.exp(_argmax(loglik, np.log(0.6), np.log(60.0))))
-    d = np.sqrt(scale2(nu))
+    d = np.ldexp(np.sqrt(scale2(nu)), e)
     if not np.isfinite(d):
         raise ComputeError(f"t fit failed: scale {d} is not finite")
     return TLocScale(nu=nu, delta=float(d))

@@ -118,11 +118,16 @@ class Spectrogram:
         return self.values.shape[0]
 
 
+def bin_freqs(cfg: SpectrogramConfig) -> np.ndarray:
+    """Center frequencies in Hz of the one-sided bins k = 0..nfft/2."""
+    return np.arange(cfg.nfft // 2 + 1) * (cfg.sample_rate_hz / cfg.nfft)
+
+
 def spectrogram(values, cfg: SpectrogramConfig) -> Spectrogram:
     """Squared-magnitude STFT with one-sided frequency axis."""
     coeffs = stft(values, cfg)
     power = np.abs(coeffs) ** 2
-    freqs = np.arange(cfg.nfft // 2 + 1) * (cfg.sample_rate_hz / cfg.nfft)
+    freqs = bin_freqs(cfg)
     n_frames = power.shape[0]
     centers = (np.arange(n_frames) * cfg.hop + (cfg.window_length - 1) / 2.0)
     times = centers / cfg.sample_rate_hz

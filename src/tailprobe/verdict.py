@@ -21,7 +21,12 @@ Decision layers, from raw signal to category:
    correlate the bins, which invalidates the iid bootstrap here), plus a
    Gaussian-family MC-KS on the time-domain signal. Both must pass. The
    per-bin KS is exact, but the CDF is evaluated only where the maximum
-   can lie (values at sparse knots bound it in between).
+   can lie (values at sparse knots bound it in between). Under white
+   Gaussian input the band's complex-valued bins are exchangeable, so the
+   null is one pool of their KS distances over ceil(bootstrap / m) draws
+   (m such bins): at least ``bootstrap`` values from a few spectrograms.
+   The real-valued DC and Nyquist bins follow another law; they get no
+   p-value and do not count in the median or the fraction below 0.05.
 
 The Monte-Carlo nulls (both slope thresholds, the chi2 pipeline null and
 the TD Gaussian KS null) live in one table, each keyed on the full
@@ -47,7 +52,7 @@ from .gof import gauss_ks
 from .quantiles import iqr, quantile
 from .segmentation import SegmentationConfig
 from .tailfit import TailEvidence, tail_evidence
-from .tfr import Spectrogram, SpectrogramConfig, spectrogram
+from .tfr import Spectrogram, SpectrogramConfig, bin_freqs, spectrogram
 
 # Decision constants, frozen by measurement against the nine reference
 # scenarios (see the acceptance tests for the rates they achieve).
@@ -99,10 +104,10 @@ class SlopeProfile:
         return iqr(np.abs(self.slopes[self._valid]))
 
 
-def band_bin_indices(spec: Spectrogram, band: tuple[float, float] | None) -> np.ndarray:
-    """Bin indices whose center frequencies fall in [lo, hi]; None selects
-    the upper half of the frequency axis. At least 8 bins required."""
-    freqs = spec.freqs_hz
+def band_bin_indices(freqs: np.ndarray, band: tuple[float, float] | None) -> np.ndarray:
+    """Indices of the bin center frequencies ``freqs`` that fall in
+    [lo, hi]; None selects the upper half of the frequency axis. At least
+    8 bins required."""
     if band is None:
         idx = np.arange(len(freqs) // 2, len(freqs))
     else:
@@ -224,7 +229,7 @@ def slope_profile(
         raise DataError(
             f"{spec.n_frames} frames is too few for segmentation (need >= {_MIN_FRAMES})"
         )
-    idx = band_bin_indices(spec, band)
+    idx = band_bin_indices(spec.freqs_hz, band)
     slopes, status = _last_segment_slopes(spec.values[:, idx], seg_cfg)
     if np.all(status == STATUS_SKIPPED):
         raise DataError("all bins in the band are degenerate")
@@ -417,6 +422,12 @@ def _bin_ks_stats(power: np.ndarray) -> np.ndarray:
     return ks
 
 
+def _complex_bins(idx: np.ndarray, nfft: int) -> np.ndarray:
+    """Mask of the bin indices whose coefficients are complex-valued: all
+    but DC (0) and, for even nfft, Nyquist (nfft/2)."""
+    return (idx > 0) & (2 * idx != nfft)
+
+
 def _pipeline_null_ks(
     n_samples: int,
     spect_cfg: SpectrogramConfig,
@@ -425,14 +436,25 @@ def _pipeline_null_ks(
     seed: int,
     workers: int,
 ) -> np.ndarray:
-    """Null KS matrix (bootstrap x bins): Gaussian signals pushed through the
-    same spectrogram configuration, refitted per bin."""
+    """Pooled null KS distances, sorted: Gaussian signals pushed through the
+    same spectrogram configuration, refitted per bin.
+
+    Under white Gaussian input the band's complex-valued bins are
+    exchangeable, so one pool serves them all; it holds the finite KS
+    distances of every such bin of ceil(bootstrap / m) draws, m being the
+    number of complex-valued band bins, so at least ``bootstrap`` values.
+    The real-valued DC and Nyquist bins follow another law and are not
+    pooled (``chi2_evidence`` gives them no p-value).
+    """
+    idx = band_bin_indices(bin_freqs(spect_cfg), band)
+    idx = idx[_complex_bins(idx, spect_cfg.nfft)]
 
     def one(z: np.ndarray) -> np.ndarray:
-        spec = spectrogram(z, spect_cfg)
-        return _bin_ks_stats(spec.values[:, band_bin_indices(spec, band)])
+        return _bin_ks_stats(spectrogram(z, spect_cfg).values[:, idx])
 
-    return _gaussian_stats(one, n_samples, bootstrap, seed, CHI2_NULL, workers)
+    draws = -(-bootstrap // len(idx))
+    ks = _gaussian_stats(one, n_samples, draws, seed, CHI2_NULL, workers)
+    return np.sort(ks[np.isfinite(ks)])
 
 
 def _gaussian_ks_null(n: int, bootstrap: int, seed: int, workers: int) -> np.ndarray:
@@ -450,22 +472,24 @@ def chi2_evidence(
     workers: int = 1,
 ) -> Chi2Evidence:
     """Two-part Gaussian-spectrogram check: per-bin KS p-values against the
-    pipeline-matched null, and a TD Gaussian-family MC-KS p-value."""
+    pooled pipeline-matched null, and a TD Gaussian-family MC-KS p-value.
+    Real-valued (DC, Nyquist) and degenerate bins get p = NaN and do not
+    count in the median or the fraction."""
     if bootstrap < 1:
         raise ConfigError(f"bootstrap count must be >= 1, got {bootstrap}")
     n = len(values)
-    idx = band_bin_indices(spec, band)
+    idx = band_bin_indices(spec.freqs_hz, band)
     ks = _bin_ks_stats(spec.values[:, idx])
-    valid = np.isfinite(ks)
+    valid = np.isfinite(ks) & _complex_bins(idx, spec.config.nfft)
     if not np.any(valid):
-        raise DataError("all bins in the band are degenerate")
+        raise DataError("all complex-valued bins in the band are degenerate")
     null = _memo(
         ("chi2", n, spec.config, band, bootstrap, seed),
         lambda: _pipeline_null_ks(n, spec.config, band, bootstrap, seed, workers),
     )
     p = np.full(len(idx), np.nan)
-    exceed = np.sum(null[:, valid] >= ks[valid][None, :], axis=0)
-    p[valid] = (1.0 + exceed) / (bootstrap + 1.0)
+    exceed = len(null) - np.searchsorted(null, ks[valid], side="left")
+    p[valid] = (1.0 + exceed) / (len(null) + 1.0)
     median_p = float(np.median(p[valid]))
     frac_low = float(np.mean(p[valid] < 0.05))
     gnull = _memo(

@@ -24,7 +24,7 @@ from tailprobe import (
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 
 # frozen digests of the CSV side files produced for the golden input
-GOLDEN_SLOPES_SHA256 = "812f922684012e589355ecf005466632c6cc18018b371a198b42acb50a637eb5"
+GOLDEN_SLOPES_SHA256 = "943d8f47513913ca1f58ac086c6f62577ae1d83839e4a275618311d001da3179"
 GOLDEN_TAIL_SHA256 = "319d96e221c5834e057d3b6e1ecb4ed18311ab542ce8a161f3ef6f0745ebd3e4"
 
 

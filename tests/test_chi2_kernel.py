@@ -42,7 +42,7 @@ def assert_matches_dense(power):
 
 def band_power(x):
     spec = spectrogram(x, SpectrogramConfig())
-    return spec.values[:, band_bin_indices(spec, None)]
+    return spec.values[:, band_bin_indices(spec.freqs_hz, None)]
 
 
 # ------------------------------------------------ pipeline inputs

@@ -2,6 +2,7 @@
 Monte-Carlo draw comes from its own stream, and the tail layer's calls do
 not move under an affine map a*x + b (a > 0) of the signal."""
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -55,7 +56,13 @@ def test_every_stream_of_an_analysis_and_a_study_is_distinct(monkeypatch):
         distributions.TFD_CALIBRATION, distributions.TD_CALIBRATION,
         distributions.CHI2_NULL, distributions.TD_GAUSS_NULL, distributions.STUDY,
     }
-    assert len(used) == len(keys) == 2 * CAL + 2 * BOOT + 2 * CAL + 2 * 30 + 2 * 3
+    # Per run: the two calibrations, the pooled chi2 null (ceil(bootstrap /
+    # 128) draws: the default band has 128 complex-valued bins) and the TD
+    # Gaussian null; the study adds its 2 x 3 inputs.
+    assert len(used) == len(keys) == (
+        2 * CAL + math.ceil(BOOT / 128) + BOOT
+        + 2 * CAL + math.ceil(30 / 128) + 30 + 2 * 3
+    )
     first = {real(*key).bit_generator.random_raw() for key in used}
     assert len(first) == len(used)
 
@@ -99,7 +106,17 @@ def test_tail_shape_is_finite_at_tiny_scales():
     assert ev.td_finite
 
 
-def test_overflowing_t_fit_is_a_compute_error():
+def test_t_fit_is_scale_free_at_tiny_scales():
+    # At 1e-160 the centred sample's squares are subnormal.
+    x = sample(TLocScale(3.0, 1.0), 10_000, np.random.default_rng(14))
+    a = 1e-160
+    ev, ref = tail_evidence(a * x), tail_evidence(x)
+    assert ev.t_nu == pytest.approx(ref.t_nu, rel=1e-6)
+    assert ev.t_delta / a == pytest.approx(ref.t_delta, rel=1e-6)
+    assert ev.t_ks == pytest.approx(ref.t_ks, rel=1e-6)
+
+
+def test_td_verdict_overflow_is_a_compute_error():
     x = sample(TLocScale(3.0, 1.0), N, np.random.default_rng(14))
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ComputeError):
         td_verdict(1e154 * x, calibration_replicates=CAL, seed=SEED)

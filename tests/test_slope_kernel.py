@@ -78,7 +78,7 @@ def assert_matches_reference(columns, cfg):
 def test_kernel_matches_reference_on_scenario_signals(scenario):
     x = sample(scenario.spec, 10_000, np.random.default_rng(3))
     spec = spectrogram(x, SpectrogramConfig())
-    columns = spec.values[:, band_bin_indices(spec, None)]
+    columns = spec.values[:, band_bin_indices(spec.freqs_hz, None)]
     cfg = SegmentationConfig()
     assert_matches_reference(columns, cfg)
     assert_matches_reference(x[:, None], cfg)  # the time-domain path

@@ -30,11 +30,13 @@ from tailprobe import (
     spectrogram,
     td_verdict,
 )
+from tailprobe import verdict
 from tailprobe.tailfit import _fit_sym_pareto, _fit_t
 from tailprobe.verdict import (
     STATUS_FALLBACK,
     STATUS_OK,
     STATUS_SKIPPED,
+    _bin_ks_stats,
     _td_slope,
     band_bin_indices,
     classify,
@@ -50,23 +52,23 @@ N, BOOT, CAL, SEED = 6000, 120, 20, 7
 
 def test_band_default_is_upper_half():
     spec = spectrogram(np.random.default_rng(0).standard_normal(3000), CFG)
-    idx = band_bin_indices(spec, None)
+    idx = band_bin_indices(spec.freqs_hz, None)
     npt.assert_array_equal(idx, np.arange(128, 257))
 
 
 def test_band_explicit_bounds_are_inclusive():
     spec = spectrogram(np.random.default_rng(0).standard_normal(3000), CFG)
     lo, hi = float(spec.freqs_hz[10]), float(spec.freqs_hz[20])
-    idx = band_bin_indices(spec, (lo, hi))
+    idx = band_bin_indices(spec.freqs_hz, (lo, hi))
     npt.assert_array_equal(idx, np.arange(10, 21))
 
 
 def test_band_validation():
     spec = spectrogram(np.random.default_rng(0).standard_normal(3000), CFG)
     with pytest.raises(ConfigError):
-        band_bin_indices(spec, (5000.0, 4000.0))
+        band_bin_indices(spec.freqs_hz, (5000.0, 4000.0))
     with pytest.raises(ConfigError):
-        band_bin_indices(spec, (5000.0, 5100.0))  # only 2-3 bins wide
+        band_bin_indices(spec.freqs_hz, (5000.0, 5100.0))  # only 2-3 bins wide
 
 
 # ------------------------------------------------------------ slope profiles
@@ -283,6 +285,58 @@ def test_chi2_evidence_infinite_variance_rejects_bins():
     ev = chi2_evidence(x, spec, None, bootstrap=BOOT, seed=SEED)
     assert ev.frac_bins_below_05 > 0.5
     assert not ev.passed
+
+
+def _chi2_null(n, band, bootstrap, seed=SEED):
+    """The memoized pooled chi2 null of a chi2_evidence call with these
+    settings and the default spectrogram configuration."""
+    return verdict._NULLS[("chi2", n, CFG, band, bootstrap, seed)]
+
+
+def test_chi2_p_values_match_a_naive_count_against_the_pool():
+    x = sample(TLocScale(6.0, 1.0), N, np.random.default_rng(505))
+    spec = spectrogram(x, CFG)
+    ev = chi2_evidence(x, spec, None, bootstrap=BOOT, seed=SEED)
+    pool = _chi2_null(N, None, BOOT)
+    ks = _bin_ks_stats(spec.values[:, band_bin_indices(spec.freqs_hz, None)])
+    tested = np.flatnonzero(np.isfinite(ev.bin_p_values))
+    assert len(tested) == 128
+    for j in tested:
+        want = (1 + sum(1 for d in pool if d >= ks[j])) / (len(pool) + 1)
+        assert ev.bin_p_values[j] == want
+
+
+def test_chi2_real_valued_bins_get_no_p_value():
+    x = np.random.default_rng(606).standard_normal(N)
+    spec = spectrogram(x, CFG)
+    low_band = (0.0, float(spec.freqs_hz[40]))
+    for band, real in ((None, -1), (low_band, 0)):  # Nyquist, then DC
+        ev = chi2_evidence(x, spec, band, bootstrap=BOOT, seed=SEED)
+        p = ev.bin_p_values
+        assert np.isnan(p[real])
+        assert np.count_nonzero(np.isnan(p)) == 1
+        assert ev.median_bin_p == np.median(p[np.isfinite(p)])
+        assert ev.frac_bins_below_05 == np.mean(p[np.isfinite(p)] < 0.05)
+
+
+@pytest.mark.parametrize("bootstrap", [1, 128, 129, 200])
+def test_chi2_null_draws_ceil_bootstrap_over_m_spectrograms(monkeypatch, bootstrap):
+    # The default band (bins 128..256) has m = 128 complex-valued bins.
+    x = np.random.default_rng(707).standard_normal(N)
+    spec = spectrogram(x, CFG)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return spectrogram(*args, **kwargs)
+
+    monkeypatch.setattr(verdict, "spectrogram", counted)
+    clear_caches()
+    chi2_evidence(x, spec, None, bootstrap=bootstrap, seed=SEED)
+    assert len(calls) == -(-bootstrap // 128)
+    pool = _chi2_null(N, None, bootstrap)
+    assert len(pool) >= bootstrap
+    assert np.all(np.isfinite(pool)) and np.all(np.diff(pool) >= 0)
 
 
 def test_chi2_evidence_rejects_degenerate_spectrogram(null_builds):
