@@ -1,12 +1,17 @@
 """Command-line interface: analyze, simulate, gof, spectrogram.
 
-Option values resolve with precedence CLI flag > config file > default. The
-config file is flat ``key = value`` text ('#' comments allowed) whose keys
-are the long flag names without the leading dashes, e.g.::
+Each command declares its options once, in a table that maps the long flag
+to the call its value feeds and that call's keyword. Values resolve with
+precedence CLI flag > config file; an option set in neither place is not
+passed on, so the config class or library function it feeds applies its own
+default. The config file is flat ``key = value`` text ('#' comments allowed)
+whose keys are the long flag names without the leading dashes; a repeatable
+flag takes a comma-separated list, e.g.::
 
     window = 500
     kaiser-beta = 5
     band = 4500:9000
+    scenario = stable:2:1, t:3:1
 
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 compute error.
 """
@@ -15,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections import defaultdict
 
 import numpy as np
 
@@ -22,8 +28,8 @@ from .analysis import AnalysisConfig, analyze, write_report
 from .errors import ComputeError, ConfigError, TailprobeError
 from .gof import ks_pvalue_mc
 from .segmentation import SegmentationConfig
-from .signal_io import DEFAULT_SAMPLE_RATE_HZ, load_signal
-from .study import StudyConfig, default_scenarios, parse_scenario, run_study
+from .signal_io import Signal, load_signal
+from .study import StudyConfig, parse_scenario, run_study
 from .tfr import SpectrogramConfig, spectrogram
 
 
@@ -34,59 +40,64 @@ def _parse_band(text: str) -> tuple[float, float]:
     return float(parts[0]), float(parts[1])
 
 
-def _parse_scenarios(text: str) -> list[str]:
-    return [s.strip() for s in text.split(",") if s.strip()]
+# Option tables: flag -> (target, keyword, add_argument keywords). The value
+# is passed as `keyword` to the target: "spect" and "seg" build
+# SpectrogramConfig and SegmentationConfig, "load" is load_signal, "main" is
+# the command's own call (AnalysisConfig, StudyConfig or ks_pvalue_mc), and
+# the command itself reads "cmd".
+_SPECT = {
+    "window": ("spect", "window_length", dict(type=int, help="window length in samples")),
+    "kaiser-beta": ("spect", "kaiser_beta", dict(type=float)),
+    "overlap": ("spect", "overlap", dict(type=int, help="samples shared by frames")),
+    "nfft": ("spect", "nfft", dict(type=int)),
+}
+_SEG = {
+    "jump-factor": ("seg", "jump_factor", dict(type=float)),
+    "min-segment-frac": ("seg", "min_segment_frac", dict(type=float)),
+    "fallback": ("seg", "fallback", dict(choices=["longest_segment", "whole_trace"])),
+}
+_ANALYSIS = {  # the AnalysisConfig fields, which StudyConfig inherits
+    "band": ("main", "band", dict(type=_parse_band, help="LO:HI in Hz")),
+    "bootstrap": ("main", "bootstrap", dict(type=int)),
+    "calibration-replicates": ("main", "calibration_replicates", dict(type=int)),
+    "seed": ("main", "seed", dict(type=int)),
+    "workers": ("main", "workers", dict(type=int)),
+}
+_SIGNAL_FILE = {
+    "input": ("cmd", "input", dict(help=".wav or .csv signal")),
+    "sample-rate": ("load", "sample_rate_hz", dict(type=float, help="Hz (CSV inputs)")),
+}
 
-
-# Per-command option tables: key -> (converter from string, default).
-_SPECT_OPTS = {
-    "window": (int, 500),
-    "kaiser-beta": (float, 5.0),
-    "overlap": (int, 474),
-    "nfft": (int, 512),
-    "sample-rate": (float, None),
+_ANALYZE = {
+    **_SIGNAL_FILE,
+    "out": ("cmd", "out", dict(help="JSON report path (CSV side files follow)")),
+    **_ANALYSIS,
+    **_SPECT,
+    **_SEG,
 }
-_SEG_OPTS = {
-    "jump-factor": (float, 10.0),
-    "min-segment-frac": (float, 0.10),
-    "fallback": (str, "longest_segment"),
+_SIMULATE = {
+    "scenario": ("main", "scenarios", dict(
+        action="append",
+        help="family:p1:p2 (repeatable); default runs the nine references",
+    )),
+    "n": ("main", "n_samples", dict(type=int, help="samples per replicate")),
+    "replicates": ("main", "replicates", dict(type=int)),
+    "out-dir": ("cmd", "out_dir", dict(help="output directory (default: current)")),
+    **_ANALYSIS,
+    **_SPECT,
+    "sample-rate": ("spect", "sample_rate_hz", dict(type=float, help="Hz")),
+    **_SEG,
 }
-_COMMON_OPTS = {
-    "seed": (int, 0),
-    "workers": (int, 1),
+_GOF = {
+    "input": ("cmd", "input", dict(help="sample file, one value per line")),
+    "family": ("main", "family", dict(choices=["genchi2", "gaussian"])),
+    "bootstrap": _ANALYSIS["bootstrap"],
+    "seed": _ANALYSIS["seed"],
 }
-_ANALYZE_OPTS = {
-    "input": (str, None),
-    "out": (str, None),
-    "band": (_parse_band, None),
-    "bootstrap": (int, 200),
-    "calibration-replicates": (int, 100),
-    **_SPECT_OPTS,
-    **_SEG_OPTS,
-    **_COMMON_OPTS,
-}
-_SIMULATE_OPTS = {
-    "scenario": (_parse_scenarios, None),
-    "n": (int, 10_000),
-    "replicates": (int, 50),
-    "out-dir": (str, "."),
-    "band": (_parse_band, None),
-    "bootstrap": (int, 200),
-    "calibration-replicates": (int, 100),
-    **_SPECT_OPTS,
-    **_SEG_OPTS,
-    **_COMMON_OPTS,
-}
-_GOF_OPTS = {
-    "input": (str, None),
-    "family": (str, "genchi2"),
-    "bootstrap": (int, 200),
-    "seed": (int, 0),
-}
-_SPECTROGRAM_OPTS = {
-    "input": (str, None),
-    "out": (str, None),
-    **_SPECT_OPTS,
+_SPECTROGRAM = {
+    **_SIGNAL_FILE,
+    "out": ("cmd", "out", dict(help="output CSV path")),
+    **_SPECT,
 }
 
 
@@ -109,71 +120,55 @@ def _read_config_file(path: str) -> dict[str, str]:
     return out
 
 
-def _resolve(args: argparse.Namespace, opts: dict) -> dict:
-    """Merge CLI values, config-file values, and defaults."""
+def _from_file(key: str, text: str, spec: dict):
+    conv = spec.get("type", str)
+    try:
+        if spec.get("action") == "append":  # an empty list counts as not given
+            return [conv(s.strip()) for s in text.split(",") if s.strip()] or None
+        return conv(text)
+    except ValueError as exc:
+        raise ConfigError(f"config key {key!r}: bad value {text!r}: {exc}") from exc
+
+
+def _resolve(args: argparse.Namespace) -> dict[str, dict]:
+    """The options given as a flag or in the config file (the flag wins), as
+    target -> {keyword: value}; options given nowhere are left out."""
     file_cfg = _read_config_file(args.config) if args.config else {}
-    unknown = set(file_cfg) - set(opts)
+    unknown = set(file_cfg) - set(args.table)
     if unknown:
         raise ConfigError(
             f"unknown config keys for this command: {sorted(unknown)}"
         )
-    vals = {}
-    for key, (conv, default) in opts.items():
-        dest = key.replace("-", "_")
-        cli_val = getattr(args, dest, None)
-        if cli_val is not None:
-            vals[dest] = cli_val
-        elif key in file_cfg:
-            try:
-                vals[dest] = conv(file_cfg[key])
-            except ValueError as exc:
-                raise ConfigError(
-                    f"config key {key!r}: bad value {file_cfg[key]!r}: {exc}"
-                ) from exc
-        else:
-            vals[dest] = default
+    vals: dict[str, dict] = defaultdict(dict)
+    for flag, (target, keyword, spec) in args.table.items():
+        value = getattr(args, flag.replace("-", "_"))
+        if value is None and flag in file_cfg:
+            value = _from_file(flag, file_cfg[flag], spec)
+        if value is not None:
+            vals[target][keyword] = value
     return vals
 
 
-def _require_input(vals: dict) -> str:
-    if not vals.get("input"):
-        raise ConfigError("an input file is required (--input or config 'input')")
-    return vals["input"]
+def _required(cmd: dict, flag: str, what: str) -> str:
+    if not cmd.get(flag):
+        raise ConfigError(f"{what} is required (--{flag} or config '{flag}')")
+    return cmd[flag]
 
 
-def _spect_config(vals: dict, sample_rate_hz: float) -> SpectrogramConfig:
-    return SpectrogramConfig(
-        window_length=vals["window"],
-        kaiser_beta=vals["kaiser_beta"],
-        overlap=vals["overlap"],
-        nfft=vals["nfft"],
-        sample_rate_hz=sample_rate_hz,
-    )
-
-
-def _seg_config(vals: dict) -> SegmentationConfig:
-    return SegmentationConfig(
-        jump_factor=vals["jump_factor"],
-        min_segment_frac=vals["min_segment_frac"],
-        fallback=vals["fallback"],
-    )
+def _load(opts: dict[str, dict]) -> Signal:
+    return load_signal(_required(opts["cmd"], "input", "an input file"), **opts["load"])
 
 
 def _fmt(x: float) -> str:
     return f"{x:.6g}"
 
 
-def cmd_analyze(args: argparse.Namespace) -> int:
-    vals = _resolve(args, _ANALYZE_OPTS)
-    signal = load_signal(_require_input(vals), vals["sample_rate"])
+def cmd_analyze(opts: dict[str, dict]) -> int:
+    signal = _load(opts)
     cfg = AnalysisConfig(
-        spect=_spect_config(vals, signal.sample_rate_hz),
-        band=vals["band"],
-        seg=_seg_config(vals),
-        seed=vals["seed"],
-        bootstrap=vals["bootstrap"],
-        calibration_replicates=vals["calibration_replicates"],
-        workers=vals["workers"],
+        spect=SpectrogramConfig(**opts["spect"], sample_rate_hz=signal.sample_rate_hz),
+        seg=SegmentationConfig(**opts["seg"]),
+        **opts["main"],
     )
     result = analyze(signal, cfg)
     v = result.verdict
@@ -191,34 +186,24 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     print(f"accepted_tail_family: {e.accepted_family}")
     for w in v.warnings:
         print(f"warning: {w}")
-    if vals["out"]:
-        paths = write_report(result, vals["out"])
+    if opts["cmd"].get("out"):
+        paths = write_report(result, opts["cmd"]["out"])
         print(f"report: {paths['report']}")
         print(f"slopes_csv: {paths['slopes_csv']}")
         print(f"tail_csv: {paths['tail_csv']}")
     return 0
 
 
-def cmd_simulate(args: argparse.Namespace) -> int:
-    vals = _resolve(args, _SIMULATE_OPTS)
-    names = vals["scenario"]
-    scenarios = (
-        tuple(parse_scenario(n) for n in names) if names else default_scenarios()
-    )
-    fs = vals["sample_rate"] if vals["sample_rate"] else DEFAULT_SAMPLE_RATE_HZ
+def cmd_simulate(opts: dict[str, dict]) -> int:
+    study = opts["main"]
+    if "scenarios" in study:
+        study["scenarios"] = tuple(map(parse_scenario, study["scenarios"]))
     cfg = StudyConfig(
-        scenarios=scenarios,
-        n_samples=vals["n"],
-        replicates=vals["replicates"],
-        seed=vals["seed"],
-        spect=_spect_config(vals, fs),
-        band=vals["band"],
-        seg=_seg_config(vals),
-        bootstrap=vals["bootstrap"],
-        calibration_replicates=vals["calibration_replicates"],
-        workers=vals["workers"],
+        spect=SpectrogramConfig(**opts["spect"]),
+        seg=SegmentationConfig(**opts["seg"]),
+        **study,
     )
-    result = run_study(cfg, out_dir=vals["out_dir"])
+    result = run_study(cfg, out_dir=opts["cmd"].get("out_dir", "."))
     for scen in result.summary["scenarios"]:
         counts = scen["category_counts"]
         print(
@@ -233,15 +218,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_gof(args: argparse.Namespace) -> int:
-    vals = _resolve(args, _GOF_OPTS)
-    signal = load_signal(_require_input(vals))
-    res = ks_pvalue_mc(
-        signal.values,
-        family=vals["family"],
-        bootstrap=vals["bootstrap"],
-        seed=vals["seed"],
-    )
+def cmd_gof(opts: dict[str, dict]) -> int:
+    signal = _load(opts)
+    res = ks_pvalue_mc(signal.values, **opts["main"])
     print(f"family: {res.family}")
     print(f"n: {len(signal.values)}")
     print(f"ks_statistic: {_fmt(res.statistic)}")
@@ -250,19 +229,28 @@ def cmd_gof(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_spectrogram(args: argparse.Namespace) -> int:
-    vals = _resolve(args, _SPECTROGRAM_OPTS)
-    signal = load_signal(_require_input(vals), vals["sample_rate"])
-    if not vals["out"]:
-        raise ConfigError("an output path is required (--out or config 'out')")
-    spec = spectrogram(signal.values, _spect_config(vals, signal.sample_rate_hz))
-    with open(vals["out"], "w", encoding="utf-8", newline="\n") as fh:
+def cmd_spectrogram(opts: dict[str, dict]) -> int:
+    signal = _load(opts)
+    out = _required(opts["cmd"], "out", "an output path")
+    spec = spectrogram(
+        signal.values,
+        SpectrogramConfig(**opts["spect"], sample_rate_hz=signal.sample_rate_hz),
+    )
+    with open(out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("time_s," + ",".join(repr(float(f)) for f in spec.freqs_hz) + "\n")
         for t, row in zip(spec.times_s, spec.values):
             fh.write(repr(float(t)) + "," + ",".join(repr(float(x)) for x in row) + "\n")
-    print(f"wrote {vals['out']} ({spec.values.shape[0]} frames x "
+    print(f"wrote {out} ({spec.values.shape[0]} frames x "
           f"{spec.values.shape[1]} bins)")
     return 0
+
+
+_COMMANDS = {
+    "analyze": ("full verdict for one signal file", _ANALYZE, cmd_analyze),
+    "simulate": ("scenario study with verdicts", _SIMULATE, cmd_simulate),
+    "gof": ("KS goodness of fit for one sample file", _GOF, cmd_gof),
+    "spectrogram": ("write the power spectrogram CSV", _SPECTROGRAM, cmd_spectrogram),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -274,74 +262,19 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p: argparse.ArgumentParser) -> None:
+    for name, (help_text, table, func) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="flat key = value config file")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--workers", type=int)
-
-    def add_spect(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--window", type=int, help="window length in samples")
-        p.add_argument("--kaiser-beta", type=float)
-        p.add_argument("--overlap", type=int, help="samples shared by frames")
-        p.add_argument("--nfft", type=int)
-        p.add_argument("--sample-rate", type=float, help="Hz (CSV inputs)")
-
-    def add_seg(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--jump-factor", type=float)
-        p.add_argument("--min-segment-frac", type=float)
-        p.add_argument("--fallback", choices=["longest_segment", "whole_trace"])
-
-    p_an = sub.add_parser("analyze", help="full verdict for one signal file")
-    p_an.add_argument("--input", help=".wav or .csv signal")
-    p_an.add_argument("--out", help="JSON report path (CSV side files follow)")
-    p_an.add_argument("--band", type=_parse_band, help="LO:HI in Hz")
-    p_an.add_argument("--bootstrap", type=int)
-    p_an.add_argument("--calibration-replicates", type=int)
-    add_spect(p_an)
-    add_seg(p_an)
-    add_common(p_an)
-    p_an.set_defaults(func=cmd_analyze)
-
-    p_sim = sub.add_parser("simulate", help="scenario study with verdicts")
-    p_sim.add_argument(
-        "--scenario",
-        action="append",
-        help="family:p1:p2 (repeatable); default runs the nine references",
-    )
-    p_sim.add_argument("--n", type=int, help="samples per replicate")
-    p_sim.add_argument("--replicates", type=int)
-    p_sim.add_argument("--out-dir")
-    p_sim.add_argument("--band", type=_parse_band, help="LO:HI in Hz")
-    p_sim.add_argument("--bootstrap", type=int)
-    p_sim.add_argument("--calibration-replicates", type=int)
-    add_spect(p_sim)
-    add_seg(p_sim)
-    add_common(p_sim)
-    p_sim.set_defaults(func=cmd_simulate)
-
-    p_gof = sub.add_parser("gof", help="KS goodness of fit for one sample file")
-    p_gof.add_argument("--input", help="sample file, one value per line")
-    p_gof.add_argument("--family", choices=["genchi2", "gaussian"])
-    p_gof.add_argument("--bootstrap", type=int)
-    p_gof.add_argument("--config", help="flat key = value config file")
-    p_gof.add_argument("--seed", type=int)
-    p_gof.set_defaults(func=cmd_gof)
-
-    p_sp = sub.add_parser("spectrogram", help="write the power spectrogram CSV")
-    p_sp.add_argument("--input", help=".wav or .csv signal")
-    p_sp.add_argument("--out", help="output CSV path")
-    p_sp.add_argument("--config", help="flat key = value config file")
-    add_spect(p_sp)
-    p_sp.set_defaults(func=cmd_spectrogram)
-
+        for flag, (_, _, spec) in table.items():
+            p.add_argument(f"--{flag}", **spec)
+        p.set_defaults(func=func, table=table)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(_resolve(args))
     except TailprobeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

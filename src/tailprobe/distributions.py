@@ -272,25 +272,10 @@ def tail(spec: DistributionSpec, x) -> TailResult:
         c_alpha = special.gamma(a) * np.sin(np.pi * a / 2.0) / np.pi
         out = c_alpha * spec.sigma**a * xs ** (-a)
         return TailResult(out if out.ndim else float(out), True)
-    if isinstance(spec, AlphaStable):
-        if spec.alpha == 2.0:
-            out = special.ndtr(-xs / (spec.sigma * np.sqrt(2.0)))
-        else:
-            out = 0.5 - np.arctan(xs / spec.sigma) / np.pi
-    elif isinstance(spec, SymPareto):
-        g, lam = spec.gamma, spec.lam
-        out = np.where(
-            xs >= 0,
-            0.5 * (lam / (np.abs(xs) + lam)) ** g,
-            1.0 - 0.5 * (lam / (np.abs(xs) + lam)) ** g,
-        )
-    elif isinstance(spec, TLocScale):
-        out = special.stdtr(spec.nu, -xs / spec.delta)
-    elif isinstance(spec, GenChi2):
-        z = np.maximum(xs, 0.0) / (2.0 * spec.beta)
-        out = np.where(xs > 0, special.gammaincc(spec.theta / 2.0, z), 1.0)
-    else:
-        raise ConfigError(f"unknown distribution spec: {spec!r}")
+    if not isinstance(spec, GenChi2):
+        return TailResult(cdf(spec, -xs), False)  # symmetric: F(-x)
+    z = np.maximum(xs, 0.0) / (2.0 * spec.beta)
+    out = np.where(xs > 0, special.gammaincc(spec.theta / 2.0, z), 1.0)
     return TailResult(out if out.ndim else float(out), False)
 
 

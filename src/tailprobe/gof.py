@@ -28,7 +28,8 @@ from .distributions import (
 from .errors import ComputeError, ConfigError, DataError
 
 
-def _clean_sample(values) -> np.ndarray:
+def clean_sample(values) -> np.ndarray:
+    """The sample as floats; DataError unless it is 1-D, nonempty and finite."""
     v = np.asarray(values, dtype=float)
     if v.ndim != 1 or len(v) == 0:
         raise DataError(f"need a nonempty 1-D sample, got shape {v.shape}")
@@ -39,7 +40,7 @@ def _clean_sample(values) -> np.ndarray:
 
 def ecdf(values) -> tuple[np.ndarray, np.ndarray]:
     """Sorted sample and right-continuous empirical CDF heights i/n."""
-    v = np.sort(_clean_sample(values))
+    v = np.sort(clean_sample(values))
     n = len(v)
     return v, np.arange(1, n + 1) / n
 
@@ -47,14 +48,14 @@ def ecdf(values) -> tuple[np.ndarray, np.ndarray]:
 def empirical_tail(values) -> tuple[np.ndarray, np.ndarray]:
     """Sorted sample and strictly positive tail estimates 1 - (i-0.5)/n,
     suitable for log-log tail plots (no zero at the maximum)."""
-    v = np.sort(_clean_sample(values))
+    v = np.sort(clean_sample(values))
     n = len(v)
     return v, 1.0 - (np.arange(1, n + 1) - 0.5) / n
 
 
 def ks_stat(values, spec: DistributionSpec) -> float:
     """Exact two-sided KS distance between the sample and the family CDF."""
-    v = np.sort(_clean_sample(values))
+    v = np.sort(clean_sample(values))
     n = len(v)
     f = np.asarray(cdf(spec, v))
     i = np.arange(1, n + 1)
@@ -91,7 +92,7 @@ def gauss_ks(values) -> float:
     """KS distance between the sample, standardized by its mean and ddof=1
     std, and the unit Gaussian. Raises DataError on zero std and
     ComputeError when the std is not finite."""
-    spec, z = _fit_family(_clean_sample(values), "gaussian")
+    spec, z = _fit_family(clean_sample(values), "gaussian")
     return ks_stat(z, spec)
 
 
@@ -103,7 +104,7 @@ def ks_pvalue_mc(
 ) -> KsResult:
     """Parametric-bootstrap KS p-value with refitting inside every replicate:
     p = (1 + #{KS* >= KS}) / (bootstrap + 1)."""
-    v = _clean_sample(values)
+    v = clean_sample(values)
     b = int(bootstrap)
     if b < 1:
         raise ConfigError(f"bootstrap count must be >= 1, got {bootstrap}")

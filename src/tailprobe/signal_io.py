@@ -15,8 +15,7 @@ import numpy as np
 from scipy.io import wavfile
 
 from .errors import ConfigError, DataError
-
-DEFAULT_SAMPLE_RATE_HZ = 25000.0
+from .tfr import DEFAULT_SAMPLE_RATE_HZ
 
 
 @dataclass(frozen=True)

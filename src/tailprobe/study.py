@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .analysis import AnalysisConfig
 from .distributions import (
     STUDY,
     AlphaStable,
@@ -31,8 +32,6 @@ from .distributions import (
 )
 from .errors import ConfigError
 from .quantiles import quantile
-from .segmentation import SegmentationConfig
-from .tfr import SpectrogramConfig
 from .verdict import assess
 
 _LOW_CONFIDENCE_REPLICATES = 10  # fewer than this flags the summary
@@ -112,29 +111,19 @@ def expected_category(spec: DistributionSpec) -> int:
 
 
 @dataclass(frozen=True)
-class StudyConfig:
+class StudyConfig(AnalysisConfig):
+    """An ``AnalysisConfig`` plus what to simulate: scenarios, n, replicates."""
+
     scenarios: tuple[Scenario, ...] = field(default_factory=default_scenarios)
     n_samples: int = 10_000
     replicates: int = 50
-    seed: int = 0
-    spect: SpectrogramConfig = SpectrogramConfig()
-    band: tuple[float, float] | None = None
-    seg: SegmentationConfig = SegmentationConfig()
-    bootstrap: int = 200
-    calibration_replicates: int = 100
-    workers: int = 1
 
     def __post_init__(self):
+        super().__post_init__()
         if not self.scenarios:
             raise ConfigError("need at least one scenario")
         if self.replicates < 1:
             raise ConfigError(f"replicates must be >= 1, got {self.replicates}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
-        if self.bootstrap < 1:
-            raise ConfigError(f"bootstrap must be >= 1, got {self.bootstrap}")
-        if self.workers < 1:
-            raise ConfigError(f"workers must be >= 1, got {self.workers}")
         if self.n_samples < 2 * self.spect.window_length:
             raise ConfigError(
                 f"n_samples={self.n_samples} too short for window length "

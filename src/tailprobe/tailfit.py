@@ -28,7 +28,7 @@ from scipy import special
 
 from .distributions import SymPareto, TLocScale
 from .errors import ComputeError, DataError
-from .gof import gauss_ks, ks_stat
+from .gof import clean_sample, gauss_ks, ks_stat
 from .quantiles import quantile
 
 # Decision constants, frozen by measurement against the nine reference
@@ -227,9 +227,9 @@ def tail_evidence(values: np.ndarray) -> TailEvidence:
     """Tail identification for one time-domain sample (see the module
     docstring for the decision tree and its constants). Every estimator sees
     the sample centred on its median, so the call does not depend on
-    location. Raises DataError on a constant sample and ComputeError when
-    its squares overflow."""
-    x = np.asarray(values, dtype=float)
+    location. Raises DataError on a constant or non-finite sample and
+    ComputeError when its squares overflow."""
+    x = clean_sample(values)
     x = x - np.median(x)
     n = len(x)
     alpha = _cf_alpha(x)

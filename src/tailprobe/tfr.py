@@ -17,6 +17,8 @@ from scipy import special
 
 from .errors import ConfigError, DataError
 
+DEFAULT_SAMPLE_RATE_HZ = 25000.0
+
 
 @functools.lru_cache(maxsize=16)
 def kaiser_window(length: int, beta: float) -> np.ndarray:
@@ -55,7 +57,7 @@ class SpectrogramConfig:
     kaiser_beta: float = 5.0
     overlap: int = 474
     nfft: int = 512
-    sample_rate_hz: float = 25000.0
+    sample_rate_hz: float = DEFAULT_SAMPLE_RATE_HZ
 
     def __post_init__(self):
         L, ov, nfft = int(self.window_length), int(self.overlap), int(self.nfft)

@@ -48,7 +48,7 @@ from .distributions import stream
 from .distributions import CHI2_NULL, TD_CALIBRATION, TD_GAUSS_NULL, TFD_CALIBRATION
 from .ecfm import cond_std_rows
 from .errors import ComputeError, ConfigError, DataError
-from .gof import gauss_ks
+from .gof import clean_sample, gauss_ks
 from .quantiles import iqr, quantile
 from .segmentation import SegmentationConfig
 from .tailfit import TailEvidence, tail_evidence
@@ -342,8 +342,8 @@ def td_verdict(
     ECFM slope and its Gaussian-null threshold are computed alongside as
     reportable evidence.
     """
-    x = np.asarray(values, dtype=float)
-    if x.ndim != 1 or len(x) < 20:
+    x = clean_sample(values)
+    if len(x) < 20:
         raise DataError(f"need a 1-D signal of length >= 20, got shape {x.shape}")
     slope, used_fallback = _td_slope(x, seg_cfg)
     n = len(x)
@@ -559,7 +559,7 @@ def assess(
 ) -> VarianceVerdict:
     """End-to-end verdict for one signal: spectrogram, band slope profile
     with its calibrated threshold, TD verdict, chi2 check, category."""
-    x = np.asarray(values, dtype=float)
+    x = clean_sample(values)
     spec = spectrogram(x, spect_cfg)
     profile = slope_profile(spec, band, seg_cfg)
     tfd_threshold = _memo(

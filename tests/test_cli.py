@@ -6,13 +6,15 @@ settings, and Monte-Carlo sizes as the report tests so the memoized
 calibration tables are shared across the suite.
 """
 
+import argparse
+import ast
 import json
 import re
 
 import numpy as np
 import pytest
 
-from tailprobe.cli import main
+from tailprobe.cli import build_parser, main
 
 N, BOOT, CAL, SEED = 6000, 120, 20, 7
 
@@ -191,6 +193,7 @@ def test_simulate_rejects_malformed_scenario(tmp_path, capsys):
     ["simulate", "--seed", "-1"],
     ["simulate", "--workers", "0"],
     ["gof", "--seed", "-1"],
+    ["simulate", "--sample-rate", "0"],
 ])
 def test_bad_seed_or_worker_count_exits_2(tmp_path, capsys, argv):
     values = tmp_path / "vals.txt"
@@ -223,6 +226,42 @@ def test_config_file_precedence(tmp_path, monkeypatch, capsys):
     assert cfg["seed"] == SEED          # CLI flag wins over file's 99
     assert cfg["bootstrap"] == BOOT     # file wins over the default 200
     assert cfg["window_length"] == 500  # untouched default
+
+
+def test_simulate_reads_a_scenario_list_from_the_config_file(tmp_path, capsys):
+    (tmp_path / "study.cfg").write_text("scenario = stable:2:1, t:3:1\n")
+    rc = main(
+        ["simulate", "--config", str(tmp_path / "study.cfg"), "--n", "4000",
+         "--replicates", "1", "--bootstrap", str(BOOT),
+         "--calibration-replicates", str(CAL), "--seed", str(SEED),
+         "--out-dir", str(tmp_path)]
+    )
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert "stable:2:1: accuracy=" in out and "t:3:1: accuracy=" in out
+    summary = json.loads((tmp_path / "study_summary.json").read_text())
+    assert [s["name"] for s in summary["scenarios"]] == ["stable:2:1", "t:3:1"]
+
+
+def test_config_keys_are_exactly_the_flags(tmp_path, capsys):
+    """Every command accepts each of its long flags, and nothing else, as a
+    config-file key; the rejected keys are read from the error message."""
+    (subparsers,) = [a for a in build_parser()._actions
+                     if isinstance(a, argparse._SubParsersAction)]
+    flags = {
+        name: {s[2:] for a in p._actions for s in a.option_strings
+               if s.startswith("--")} - {"help", "config"}
+        for name, p in subparsers.choices.items()
+    }
+    assert set(flags) == {"analyze", "simulate", "gof", "spectrogram"}
+    keys = set().union(*flags.values()) | {"config", "bogus"}
+    cfg = tmp_path / "all.cfg"
+    cfg.write_text("".join(f"{k} = 1\n" for k in sorted(keys)))
+    for name, own in flags.items():
+        assert main([name, "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        rejected = ast.literal_eval(err.split("for this command: ", 1)[1].strip())
+        assert keys - set(rejected) == own, name
 
 
 def test_unknown_config_key_exits_2(tmp_path, capsys):

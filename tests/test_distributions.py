@@ -162,6 +162,13 @@ def test_tail_plus_cdf_is_one_for_exact_families():
             assert not r.asymptotic
             npt.assert_allclose(r.value + cdf(spec, np.array([x]))[0], 1.0,
                                 rtol=0, atol=1e-8)
+    # the symmetric laws' tail is their CDF at -x, bit for bit
+    grid = np.concatenate([np.linspace(-60.0, 60.0, 2001),
+                           [0.0, -0.0, 1e300, -1e300, np.inf, -np.inf]])
+    for spec in (AlphaStable(2.0, 1.0), AlphaStable(1.0, 2.5),
+                 SymPareto(3.0, 1.5), TLocScale(4.0, 0.8)):
+        npt.assert_array_equal(tail(spec, grid).value, cdf(spec, -grid))
+        assert tail(spec, -0.0).value == cdf(spec, 0.0)
 
 
 def test_tail_is_nonincreasing():

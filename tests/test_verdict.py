@@ -349,6 +349,17 @@ def test_chi2_evidence_rejects_degenerate_spectrogram(null_builds):
     assert null_builds == {name: [] for name in null_builds}  # raised before any null
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("entry", [tail_evidence, td_verdict, assess])
+def test_non_finite_sample_is_a_data_error(null_builds, entry, bad):
+    clear_caches()
+    x = np.random.default_rng(3).standard_normal(4000)
+    x[1234] = bad
+    with pytest.raises(DataError, match="NaN or Inf"):
+        entry(x)
+    assert null_builds == {name: [] for name in null_builds}  # raised before any null
+
+
 # -------------------------------------------------------------- classification
 
 def test_classify_truth_table():
