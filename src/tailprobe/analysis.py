@@ -18,6 +18,7 @@ import jsonschema
 
 from .errors import ConfigError
 from .gof import empirical_tail
+from .quantiles import median
 from .segmentation import SegmentationConfig
 from .signal_io import Signal
 from .tfr import SpectrogramConfig
@@ -250,7 +251,7 @@ def write_report(result: AnalysisResult, out_path: str) -> dict:
                 f"{float(f)!r},{float(s)!r},{_STATUS_NAMES[int(st)]},{float(p)!r}\n"
             )
 
-    dev = np.abs(result.signal.values - np.median(result.signal.values))
+    dev = np.abs(result.signal.values - median(result.signal.values))
     xs, tail_p = empirical_tail(dev)
     with open(tail_csv, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("abs_deviation,tail_prob\n")

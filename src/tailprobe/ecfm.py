@@ -17,18 +17,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .quantiles import quantile
+from .quantiles import median, sorted_median, sorted_quantile
 
 
-def cond_std_rows(rows: np.ndarray, q_lo: float = 0.1, q_hi: float = 0.9) -> np.ndarray:
-    """``cond_std`` of each row of a 2-D array: NaN where fewer than 2 values
-    lie in the band, exactly 0 where the band holds a single distinct value.
+def _cond_std_rows(v: np.ndarray, s: np.ndarray, q_lo: float, q_hi: float) -> np.ndarray:
+    """``cond_std`` of each row of a C-contiguous 2-D array ``v``, given its
+    rows sorted (``s``): NaN where fewer than 2 values lie in the band,
+    exactly 0 where the band holds a single distinct value.
 
-    Rows reduce along contiguous memory, so a row rounds exactly as the same
-    values passed alone as a 1-row array.
+    The sort gives the band's bounds and its smallest and largest value
+    (the first sorted value >= the lower bound, the last <= the upper),
+    which decide the single-value case. The sums run over the rows in their
+    given order, along contiguous memory, so a row rounds exactly as the
+    same values passed alone as a 1-row array.
     """
-    v = np.ascontiguousarray(rows, dtype=float)
-    lo, hi = quantile(v, [q_lo, q_hi], axis=1)
+    lo, hi = sorted_quantile(s, [q_lo, q_hi])
     inner = (v >= lo[:, None]) & (v <= hi[:, None])
     count = np.count_nonzero(inner, axis=1)
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -36,9 +39,13 @@ def cond_std_rows(rows: np.ndarray, q_lo: float = 0.1, q_hi: float = 0.9) -> np.
         dev = np.where(inner, v - mean[:, None], 0.0)
         std = np.sqrt((dev * dev).sum(axis=1) / (count - 1))
     # Equal values can leave a mean one rounding off them, and with it a
-    # spurious std near 1e-17 that would blow normalized values up.
-    band_max = np.where(inner, v, -np.inf).max(axis=1)
-    std[band_max == np.where(inner, v, np.inf).min(axis=1)] = 0.0
+    # spurious std near 1e-17 that would blow normalized values up. The
+    # band's values sit at sorted positions [first, first + count); the
+    # clips only keep rows with count < 2, set to NaN below, in range.
+    first = np.count_nonzero(s < lo[:, None], axis=1)
+    ends = np.clip(np.stack([first, first + count - 1]), 0, s.shape[1] - 1)
+    band_min, band_max = np.take_along_axis(s, ends.T, axis=1).T
+    std[band_min == band_max] = 0.0
     std[count < 2] = np.nan
     return std
 
@@ -49,7 +56,8 @@ def cond_std(values, q_lo: float = 0.1, q_hi: float = 0.9) -> float:
     v = np.asarray(values, dtype=float)
     if not 0.0 <= q_lo < q_hi <= 1.0:
         raise ConfigError(f"need 0 <= q_lo < q_hi <= 1, got ({q_lo}, {q_hi})")
-    std = float(cond_std_rows(v.reshape(1, -1), q_lo, q_hi)[0])
+    row = np.ascontiguousarray(v.reshape(1, -1))
+    std = float(_cond_std_rows(row, np.sort(row, axis=1), q_lo, q_hi)[0])
     if np.isnan(std):
         raise DataError("trimmed subset has fewer than 2 points; need >= 2 for a std")
     return std
@@ -61,7 +69,20 @@ def normalize(values) -> np.ndarray:
     s = cond_std(v)
     if s == 0.0:
         raise DataError("zero conditional standard deviation; cannot normalize")
-    return (v - float(np.median(v))) / s
+    return (v - float(median(v))) / s
+
+
+def normalize_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``normalize`` of every row of a 2-D array whose conditional std is
+    positive, and the conditional std of every row (NaN or 0 where it is
+    not). One sort per row gives the median and the band, and each row
+    rounds exactly as ``normalize`` rounds it alone."""
+    v = np.ascontiguousarray(rows, dtype=float)
+    s = np.sort(v, axis=1)
+    scale = _cond_std_rows(v, s, 0.1, 0.9)
+    kept = scale > 0
+    z = (v[kept] - sorted_median(s[kept])[:, None]) / scale[kept, None]
+    return z, scale
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .quantiles import iqr
+from .quantiles import iqr, median
 
 
 @dataclass(frozen=True)
@@ -52,7 +52,7 @@ def detect_jumps(increments, cfg: SegmentationConfig) -> np.ndarray:
     pos = d[d > 0]
     if len(pos) == 0:
         return np.empty(0, dtype=int)
-    thr = float(np.median(pos)) + cfg.jump_factor * iqr(d) / 1.349
+    thr = float(median(pos)) + cfg.jump_factor * iqr(d) / 1.349
     return np.flatnonzero(d > thr) + 1
 
 

@@ -31,7 +31,7 @@ from .distributions import (
     stream,
 )
 from .errors import ConfigError
-from .quantiles import quantile
+from .quantiles import median, quantile
 from .verdict import assess
 
 _LOW_CONFIDENCE_REPLICATES = 10  # fewer than this flags the summary
@@ -197,10 +197,10 @@ def run_study(cfg: StudyConfig, out_dir: str | None = None) -> StudyResult:
                 "accuracy": float(np.mean(cats == expected)),
                 "td_finite_rate": float(np.mean([row.td_finite for row in sub])),
                 "median_of_median_abs_slope": float(
-                    np.median([row.median_abs_slope for row in sub])
+                    median([row.median_abs_slope for row in sub])
                 ),
                 "median_of_iqr_abs_slope": float(
-                    np.median([row.iqr_abs_slope for row in sub])
+                    median([row.iqr_abs_slope for row in sub])
                 ),
                 "q90_of_median_abs_slope": float(
                     quantile(np.array([row.median_abs_slope for row in sub]), 0.9)

@@ -29,7 +29,7 @@ from scipy import special
 from .distributions import SymPareto, TLocScale
 from .errors import ComputeError, DataError
 from .gof import clean_sample, gauss_ks, ks_stat
-from .quantiles import quantile
+from .quantiles import median, quantile
 
 # Decision constants, frozen by measurement against the nine reference
 # scenarios (see the acceptance tests for the rates they achieve).
@@ -133,7 +133,7 @@ def _fit_sym_pareto(x: np.ndarray) -> SymPareto:
     form given the scale, so ``_argmax`` searches the profile likelihood
     over log(scale), within a factor 30 of the median |x|."""
     a = np.abs(np.asarray(x, dtype=float))
-    med = float(np.median(a))
+    med = float(median(a))
     if med <= 0:
         med = float(np.mean(a)) or 1.0
 
@@ -230,7 +230,7 @@ def tail_evidence(values: np.ndarray) -> TailEvidence:
     location. Raises DataError on a constant or non-finite sample and
     ComputeError when its squares overflow."""
     x = clean_sample(values)
-    x = x - np.median(x)
+    x = x - median(x)
     n = len(x)
     alpha = _cf_alpha(x)
     xi = _tail_shape(x)

@@ -7,9 +7,14 @@ Decision layers, from raw signal to category:
    segment -> OLS slope, per time-domain signal and per spectrogram bin.
    One kernel runs the whole chain as a single array pass over all the
    band's bins (the time-domain signal is a one-column matrix), for the
-   profile, both calibrations and the TD slope alike. Thresholds for these
-   statistics are calibrated as high quantiles of a Gaussian null
-   simulated at the same length and configuration.
+   profile, both calibrations and the TD slope alike. Its order statistics
+   come from sorted rows, not from numpy's partition-based quantile and
+   median: one sort of each row's values gives the normalization both its
+   median and the 10-90% band of its conditional std, and one sort of the
+   increments gives both the median of the positive ones and the quartiles
+   behind the jump threshold.
+   Thresholds for these statistics are calibrated as high quantiles of a
+   Gaussian null simulated at the same length and configuration.
 
 2. Tail identification (the decider for the TD/TFD booleans) lives in
    ``tailfit.py``: a Gaussian gate, symmetric-Pareto and t likelihood
@@ -46,10 +51,10 @@ from scipy import special
 
 from .distributions import stream
 from .distributions import CHI2_NULL, TD_CALIBRATION, TD_GAUSS_NULL, TFD_CALIBRATION
-from .ecfm import cond_std_rows
+from .ecfm import normalize_rows
 from .errors import ComputeError, ConfigError, DataError
 from .gof import clean_sample, gauss_ks
-from .quantiles import iqr, quantile
+from .quantiles import iqr, median, quantile, sorted_quantile
 from .segmentation import SegmentationConfig
 from .tailfit import TailEvidence, tail_evidence
 from .tfr import Spectrogram, SpectrogramConfig, bin_freqs, spectrogram
@@ -97,7 +102,7 @@ class SlopeProfile:
 
     @property
     def median_abs(self) -> float:
-        return float(np.median(np.abs(self.slopes[self._valid])))
+        return float(median(np.abs(self.slopes[self._valid])))
 
     @property
     def iqr_abs(self) -> float:
@@ -143,36 +148,37 @@ def _last_segment_slopes(
     status = np.full(m, STATUS_SKIPPED, dtype=np.int8)
     if n < 11:
         return slopes, status
-    scale = cond_std_rows(v)
+    z, scale = normalize_rows(v)
     if np.any(np.isinf(scale)):
         raise ComputeError("conditional std is not finite (the squares overflow)")
     kept = np.flatnonzero(scale > 0)
     if len(kept) == 0:
         return slopes, status
-    v = v[kept]
-    z = (v - np.median(v, axis=1, keepdims=True)) / scale[kept, None]
 
     dev2 = (z - z.mean(axis=1, keepdims=True)) ** 2
     positions = np.arange(1, n + 1)
     trace = np.cumsum(dev2 * dev2, axis=1) / positions.astype(float)
     d = np.diff(trace, axis=1)
 
-    # Jump threshold per row: median of the positive increments (sorted to
-    # the front, the rest sent to +inf) plus jump_factor robust sigmas.
-    positive = d > 0
-    n_pos = np.count_nonzero(positive, axis=1)
-    ranked = np.sort(np.where(positive, d, np.inf), axis=1)
-    lower = np.take_along_axis(ranked, np.maximum(n_pos - 1, 0)[:, None] // 2, 1)[:, 0]
-    upper = np.take_along_axis(ranked, n_pos[:, None] // 2, 1)[:, 0]
+    # Jump threshold per row: median of the positive increments (the last
+    # n_pos of the sorted row; +inf without one) plus jump_factor robust
+    # sigmas, every order statistic read off one sort. (A NaN sorts last and
+    # shifts the positives, but it makes the quartiles and threshold NaN.)
+    ranked = np.sort(d, axis=1)
+    n_pos = np.count_nonzero(d > 0, axis=1)
+    top = n - 1 - n_pos + n_pos // 2  # the upper middle positive
+    upper = np.take_along_axis(ranked, np.minimum(top, n - 2)[:, None], 1)[:, 0]
+    lower = np.take_along_axis(ranked, (top - 1 + n_pos % 2)[:, None], 1)[:, 0]
     median_pos = np.where(n_pos % 2 == 1, upper, (lower + upper) / 2)
-    q25, q75 = quantile(d, [0.25, 0.75], axis=1)
+    median_pos[n_pos == 0] = np.inf
+    q25, q75 = sorted_quantile(ranked, [0.25, 0.75])
     threshold = median_pos + seg_cfg.jump_factor * (q75 - q25) / 1.349
 
     # Segment starts: position 1, and position k for a jump at increment k
     # (rows without a positive increment have an infinite threshold). Listed
     # row by row in position order, each segment ends at the next start in
     # its row, or at n + 1 after the row's last one.
-    is_start = np.zeros(v.shape, dtype=bool)
+    is_start = np.zeros(z.shape, dtype=bool)
     is_start[:, :-1] = d > threshold[:, None]
     is_start[:, 0] = True
     row, col = np.nonzero(is_start)
@@ -490,7 +496,7 @@ def chi2_evidence(
     p = np.full(len(idx), np.nan)
     exceed = len(null) - np.searchsorted(null, ks[valid], side="left")
     p[valid] = (1.0 + exceed) / (len(null) + 1.0)
-    median_p = float(np.median(p[valid]))
+    median_p = float(median(p[valid]))
     frac_low = float(np.mean(p[valid] < 0.05))
     gnull = _memo(
         ("gauss", n, bootstrap, seed),

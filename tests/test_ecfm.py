@@ -62,6 +62,10 @@ def test_cond_std_of_equal_band_values_is_exactly_zero():
     spiked = np.full(60, 0.3)
     spiked[7] = 9.0  # the 10-90% band holds only the 0.3s
     assert cond_std(spiked) == 0.0
+    # distinct values on both sides of a band that holds only the 0.1s
+    flanked = np.concatenate([np.linspace(0.01, 0.05, 4), np.full(52, 0.1),
+                              np.linspace(1.0, 2.0, 4)])
+    assert cond_std(flanked) == 0.0
 
 
 def test_cond_std_validation():

@@ -95,12 +95,21 @@ def _no_rise(v):
     return v[np.argsort(-np.abs(v - v.mean()), kind="stable")]
 
 
+def _rise_at_end(v, k):
+    """Reorder like ``_no_rise``, but end on the k largest |v - mean| in
+    increasing order: the ECFM trace rises exactly k times, at its end."""
+    order = np.argsort(-np.abs(v - v.mean()), kind="stable")
+    return v[np.concatenate([order[k:], order[k - 1::-1]])]
+
+
 def test_kernel_edge_columns():
     rng = np.random.default_rng(8)
     n = 60
     gamma = rng.gamma(2.0, size=n)
     spike = gamma.copy()
     spike[25] *= 1e6
+    flat_start = _rise_at_end(rng.standard_normal(n), 2)
+    flat_start[1:4] = flat_start[0]  # the trace starts flat: tied zero increments
     columns = np.column_stack([
         gamma,
         np.full(n, 0.1),  # equal values whose mean rounds off them
@@ -108,12 +117,18 @@ def test_kernel_edge_columns():
         spike,
         np.where(np.arange(n) == 30, 7.0, 0.3),  # equal band values, one spike
         _no_rise(rng.standard_normal(n)),
+        _rise_at_end(rng.standard_normal(n), 1),
+        _rise_at_end(rng.standard_normal(n), 2),
+        flat_start,
     ])
     status = assert_matches_reference(columns, SegmentationConfig())
     assert list(status) == [STATUS_OK, STATUS_SKIPPED, STATUS_SKIPPED, STATUS_OK,
-                            STATUS_SKIPPED, STATUS_OK]
-    increments = ecfm(normalize(columns[:, 5])).increments
-    assert not np.any(increments > 0)
+                            STATUS_SKIPPED] + [STATUS_OK] * 4
+    # the median of the positive increments is +inf, then 1 and 2 of them;
+    # in the last column zeros sort next to the positives
+    increments = [ecfm(normalize(columns[:, j])).increments for j in range(5, 9)]
+    assert [np.count_nonzero(d > 0) for d in increments] == [0, 1, 2, 2]
+    assert np.count_nonzero(increments[-1] == 0) >= 2
 
 
 @pytest.mark.parametrize("n", [1, 2, 10, 11])
