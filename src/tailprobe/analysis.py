@@ -29,7 +29,7 @@ from .verdict import (
     assess,
 )
 
-SCHEMA_VERSION = "1"
+SCHEMA_VERSION = "2"
 
 _STATUS_NAMES = {0: "ok", STATUS_FALLBACK: "fallback", STATUS_SKIPPED: "skipped"}
 
@@ -140,7 +140,8 @@ REPORT_SCHEMA = {
         },
         "chi2": {
             "type": "object",
-            "required": ["median_bin_p", "frac_bins_below_05", "td_gaussian_p"],
+            "required": ["median_bin_p", "frac_bins_below_05",
+                         "td_gaussian_stat", "td_gaussian_bound"],
         },
         "artifacts": {
             "type": "object",
@@ -148,6 +149,7 @@ REPORT_SCHEMA = {
         },
     },
 }
+_REPORT_VALIDATOR = jsonschema.Draft202012Validator(REPORT_SCHEMA)
 
 
 def build_report(result: AnalysisResult, slopes_csv: str, tail_csv: str) -> dict:
@@ -211,14 +213,15 @@ def build_report(result: AnalysisResult, slopes_csv: str, tail_csv: str) -> dict
         "chi2": {
             "median_bin_p": _num(v.chi2.median_bin_p),
             "frac_bins_below_05": _num(v.chi2.frac_bins_below_05),
-            "td_gaussian_p": _num(v.chi2.td_gaussian_p),
+            "td_gaussian_stat": _num(v.chi2.td_gaussian_stat),
+            "td_gaussian_bound": _num(v.chi2.td_gaussian_bound),
         },
         "artifacts": {
             "slopes_csv": os.path.basename(slopes_csv),
             "tail_csv": os.path.basename(tail_csv),
         },
     }
-    jsonschema.validate(report, REPORT_SCHEMA)
+    _REPORT_VALIDATOR.validate(report)
     return report
 
 

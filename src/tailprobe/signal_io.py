@@ -9,6 +9,7 @@ package default is 25 kHz).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,7 +57,7 @@ def _load_csv(path: str, sample_rate_hz: float | None) -> Signal:
                 raise DataError(
                     f"{path}: line {lineno}: not a number: {text!r}"
                 ) from exc
-            if not np.isfinite(x):
+            if not math.isfinite(x):
                 raise DataError(f"{path}: line {lineno}: NaN/Inf value {text!r}")
             values.append(x)
     if not values:

@@ -6,13 +6,10 @@ Decision layers, from raw signal to category:
    ordering studies): normalize -> ECFM -> jump detection -> last long
    segment -> OLS slope, per time-domain signal and per spectrogram bin.
    One kernel runs the whole chain as a single array pass over all the
-   band's bins (the time-domain signal is a one-column matrix), for the
-   profile, both calibrations and the TD slope alike. Its order statistics
-   come from sorted rows, not from numpy's partition-based quantile and
-   median: one sort of each row's values gives the normalization both its
-   median and the 10-90% band of its conditional std, and one sort of the
-   increments gives both the median of the positive ones and the quartiles
-   behind the jump threshold.
+   band's bins, or over a block of time-domain signals (one per column),
+   for the profile, both calibrations and the TD slope alike. Its order
+   statistics come from one sort per row (of the values, then of the
+   increments), not from numpy's partition-based quantile and median.
    Thresholds for these statistics are calibrated as high quantiles of a
    Gaussian null simulated at the same length and configuration.
 
@@ -23,22 +20,23 @@ Decision layers, from raw signal to category:
 3. Spectrogram-law check (chi2): per-bin KS of binned power against a
    moment-fitted generalized chi-squared, calibrated against a Monte-Carlo
    null pushed through the same spectrogram pipeline (overlapping frames
-   correlate the bins, which invalidates the iid bootstrap here), plus a
-   Gaussian-family MC-KS on the time-domain signal. Both must pass. The
-   per-bin KS is exact, but the CDF is evaluated only where the maximum
-   can lie (values at sparse knots bound it in between). Under white
-   Gaussian input the band's complex-valued bins are exchangeable, so the
-   null is one pool of their KS distances over ceil(bootstrap / m) draws
-   (m such bins): at least ``bootstrap`` values from a few spectrograms.
-   The real-valued DC and Nyquist bins follow another law; they get no
-   p-value and do not count in the median or the fraction below 0.05.
+   correlate the bins, which invalidates the iid bootstrap here), plus
+   Stephens' closed-form Gaussian KS gate on the time-domain signal
+   (``td_gaussian_stat``). Both must pass. The per-bin KS is exact, but the
+   CDF is evaluated only where the maximum can lie (values at sparse knots
+   bound it in between). Under white Gaussian input the band's
+   complex-valued bins are exchangeable, so the null is one pool of their
+   KS distances over ceil(bootstrap / m) draws (m such bins): at least
+   ``bootstrap`` values from a few spectrograms. The real-valued DC and
+   Nyquist bins follow another law; they get no p-value and do not count
+   in the median or the fraction below 0.05.
 
-The Monte-Carlo nulls (both slope thresholds, the chi2 pipeline null and
-the TD Gaussian KS null) live in one table, each keyed on the full
-configuration that sets it and never on ``workers``. Replicate i of a
-null draws from ``distributions.stream(seed, id, i)``, with one stream id
-per null, so verdicts are byte-identical across runs and worker counts and
-no two draws share a bitstream.
+The Monte-Carlo nulls (both slope thresholds and the chi2 pipeline null)
+live in one table, each keyed on the full configuration that sets it and
+never on ``workers``. Replicate i of a null draws from
+``distributions.stream(seed, id, i)``, with one stream id per null, so
+verdicts are byte-identical across runs and worker counts and no two draws
+share a bitstream.
 """
 
 from __future__ import annotations
@@ -49,8 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .distributions import stream
-from .distributions import CHI2_NULL, TD_CALIBRATION, TD_GAUSS_NULL, TFD_CALIBRATION
+from .distributions import CHI2_NULL, TD_CALIBRATION, TFD_CALIBRATION, stream
 from .ecfm import normalize_rows
 from .errors import ComputeError, ConfigError, DataError
 from .gof import clean_sample, gauss_ks
@@ -62,7 +59,7 @@ from .tfr import Spectrogram, SpectrogramConfig, bin_freqs, spectrogram
 # Decision constants, frozen by measurement against the nine reference
 # scenarios (see the acceptance tests for the rates they achieve).
 CHI2_MEDIAN_P_MIN = 0.05      # median per-bin p must exceed this
-TD_GAUSSIAN_P_MIN = 0.01      # TD Gaussian-family MC-KS p must exceed this
+TD_GAUSSIAN_KS_MAX = 1.035    # Stephens' published 1% point of td_gaussian_stat
 
 # Per-bin slope status codes.
 STATUS_OK = 0
@@ -70,6 +67,7 @@ STATUS_FALLBACK = 1  # no segment long enough; fallback segment used
 STATUS_SKIPPED = 2   # degenerate sub-signal; no slope
 
 _MIN_FRAMES = 12  # >= 10 increments for jump detection plus fit headroom
+_TD_BLOCK_VALUES = 50_000  # values per TD calibration block (changes no bit)
 
 
 # --------------------------------------------------------------------------
@@ -215,13 +213,13 @@ def _last_segment_slopes(
     return slopes, status
 
 
-def _td_slope(x: np.ndarray, seg_cfg: SegmentationConfig) -> tuple[float, bool]:
-    """Last-segment slope of one time-domain signal and whether the
-    fallback segment was used; raises DataError on degenerate input."""
-    slopes, status = _last_segment_slopes(x[:, None], seg_cfg)
-    if status[0] == STATUS_SKIPPED:
+def _td_slopes(columns: np.ndarray, seg_cfg: SegmentationConfig) -> tuple:
+    """Last-segment slope of each time-domain signal (a column) and whether
+    the fallback segment was used; raises DataError on degenerate input."""
+    slopes, status = _last_segment_slopes(columns, seg_cfg)
+    if np.any(status == STATUS_SKIPPED):
         raise DataError("signal too degenerate for a last-segment slope")
-    return float(slopes[0]), bool(status[0] == STATUS_FALLBACK)
+    return slopes, status == STATUS_FALLBACK
 
 
 def slope_profile(
@@ -245,21 +243,25 @@ def slope_profile(
 
 
 def _gaussian_stats(stat, n: int, count: int, seed: int, stream_id: int,
-                    workers: int) -> np.ndarray:
-    """``stat`` of ``count`` white Gaussian draws of length n, stacked in
+                    workers: int, block: int = 1) -> np.ndarray:
+    """``stat`` of ``count`` white Gaussian draws of length n, handed to it
+    ``block`` at a time as the columns of an (n, k) matrix and stacked in
     order; draw i comes from stream (seed, stream_id, i), for any workers."""
 
-    def one(i: int):
-        return stat(stream(seed, stream_id, i).standard_normal(n))
+    def one(start: int):
+        draws = range(start, min(start + block, count))
+        return stat(np.array([stream(seed, stream_id, i).standard_normal(n)
+                              for i in draws]).T)
 
+    starts = range(0, count, block)
     if workers <= 1:
-        return np.asarray([one(i) for i in range(count)])
+        return np.concatenate([one(s) for s in starts])
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return np.asarray(list(pool.map(one, range(count))))
+        return np.concatenate(list(pool.map(one, starts)))
 
 
 # The memoized Monte-Carlo nulls. A key is a tuple: the table's tag ("tfd",
-# "td", "chi2", "gauss"), then every value that sets the table.
+# "td", "chi2"), then every value that sets the table.
 _NULLS: dict = {}
 
 
@@ -293,7 +295,8 @@ def calibrate_threshold(
     if replicates < 20:
         raise ConfigError(f"calibration needs >= 20 replicates, got {replicates}")
     medians = _gaussian_stats(
-        lambda z: slope_profile(spectrogram(z, spect_cfg), band, seg_cfg).median_abs,
+        lambda z: [slope_profile(spectrogram(z[:, 0], spect_cfg), band, seg_cfg)
+                   .median_abs],
         n_samples, replicates, seed, TFD_CALIBRATION, workers,
     )
     return float(quantile(medians, quantile_level))
@@ -311,8 +314,9 @@ def calibrate_td_threshold(
     if replicates < 20:
         raise ConfigError(f"calibration needs >= 20 replicates, got {replicates}")
     stats = _gaussian_stats(
-        lambda z: abs(_td_slope(z, seg_cfg)[0]),
+        lambda z: np.abs(_td_slopes(z, seg_cfg)[0]),
         n_samples, replicates, seed, TD_CALIBRATION, workers,
+        block=max(1, _TD_BLOCK_VALUES // n_samples),
     )
     return float(quantile(stats, quantile_level))
 
@@ -351,7 +355,7 @@ def td_verdict(
     x = clean_sample(values)
     if len(x) < 20:
         raise DataError(f"need a 1-D signal of length >= 20, got shape {x.shape}")
-    slope, used_fallback = _td_slope(x, seg_cfg)
+    slopes, fallback = _td_slopes(x[:, None], seg_cfg)
     n = len(x)
     threshold = _memo(
         ("td", n, seg_cfg, calibration_replicates, seed),
@@ -362,9 +366,9 @@ def td_verdict(
     evidence = tail_evidence(x)
     return TdVerdict(
         finite=evidence.td_finite,
-        slope=slope,
+        slope=float(slopes[0]),
         threshold=threshold,
-        slope_fallback=used_fallback,
+        slope_fallback=bool(fallback[0]),
         evidence=evidence,
     )
 
@@ -377,7 +381,8 @@ class Chi2Evidence:
     bin_p_values: np.ndarray
     median_bin_p: float
     frac_bins_below_05: float
-    td_gaussian_p: float
+    td_gaussian_stat: float
+    td_gaussian_bound: float  # the TD gate passes at or below this
     passed: bool
 
 
@@ -455,18 +460,19 @@ def _pipeline_null_ks(
     idx = band_bin_indices(bin_freqs(spect_cfg), band)
     idx = idx[_complex_bins(idx, spect_cfg.nfft)]
 
-    def one(z: np.ndarray) -> np.ndarray:
-        return _bin_ks_stats(spectrogram(z, spect_cfg).values[:, idx])
+    def one(z: np.ndarray) -> list:
+        return [_bin_ks_stats(spectrogram(z[:, 0], spect_cfg).values[:, idx])]
 
     draws = -(-bootstrap // len(idx))
     ks = _gaussian_stats(one, n_samples, draws, seed, CHI2_NULL, workers)
     return np.sort(ks[np.isfinite(ks)])
 
 
-def _gaussian_ks_null(n: int, bootstrap: int, seed: int, workers: int) -> np.ndarray:
-    """Sorted Gaussian-family KS distances of ``bootstrap`` Gaussian draws."""
-    stats = _gaussian_stats(gauss_ks, n, bootstrap, seed, TD_GAUSS_NULL, workers)
-    return np.sort(stats)
+def td_gaussian_stat(values) -> float:
+    """Stephens' (1974, JASA) modified KS for the normal law with estimated
+    mean and variance: ``gauss_ks`` times sqrt(n) - 0.01 + 0.85 / sqrt(n)."""
+    root_n = np.sqrt(len(values))
+    return float(gauss_ks(values) * (root_n - 0.01 + 0.85 / root_n))
 
 
 def chi2_evidence(
@@ -478,9 +484,9 @@ def chi2_evidence(
     workers: int = 1,
 ) -> Chi2Evidence:
     """Two-part Gaussian-spectrogram check: per-bin KS p-values against the
-    pooled pipeline-matched null, and a TD Gaussian-family MC-KS p-value.
-    Real-valued (DC, Nyquist) and degenerate bins get p = NaN and do not
-    count in the median or the fraction."""
+    pooled pipeline-matched null, and ``td_gaussian_stat`` at most
+    ``TD_GAUSSIAN_KS_MAX``. Real-valued (DC, Nyquist) and degenerate bins get
+    p = NaN and do not count in the median or the fraction."""
     if bootstrap < 1:
         raise ConfigError(f"bootstrap count must be >= 1, got {bootstrap}")
     n = len(values)
@@ -498,18 +504,14 @@ def chi2_evidence(
     p[valid] = (1.0 + exceed) / (len(null) + 1.0)
     median_p = float(median(p[valid]))
     frac_low = float(np.mean(p[valid] < 0.05))
-    gnull = _memo(
-        ("gauss", n, bootstrap, seed),
-        lambda: _gaussian_ks_null(n, bootstrap, seed, workers),
-    )
-    gstat = gauss_ks(values)
-    td_p = float((1 + np.sum(gnull >= gstat)) / (len(gnull) + 1))
-    passed = median_p > CHI2_MEDIAN_P_MIN and td_p > TD_GAUSSIAN_P_MIN
+    td_stat = td_gaussian_stat(values)
+    passed = median_p > CHI2_MEDIAN_P_MIN and td_stat <= TD_GAUSSIAN_KS_MAX
     return Chi2Evidence(
         bin_p_values=p,
         median_bin_p=median_p,
         frac_bins_below_05=frac_low,
-        td_gaussian_p=td_p,
+        td_gaussian_stat=td_stat,
+        td_gaussian_bound=TD_GAUSSIAN_KS_MAX,
         passed=passed,
     )
 

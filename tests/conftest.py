@@ -11,13 +11,12 @@ import sys
 
 import pytest
 
-NULL_BUILDERS = ("calibrate_threshold", "calibrate_td_threshold",
-                 "_pipeline_null_ks", "_gaussian_ks_null")
+NULL_BUILDERS = ("calibrate_threshold", "calibrate_td_threshold", "_pipeline_null_ks")
 
 
 @pytest.fixture
 def null_builds(monkeypatch):
-    """Wrap the four null builders in ``verdict``; the returned dict maps
+    """Wrap the three null builders in ``verdict``; the returned dict maps
     each builder's name to the ``workers`` value of every call it got."""
     from tailprobe import verdict
 

@@ -79,6 +79,12 @@ def test_report_is_schema_valid_and_json_safe(tmp_path):
     assert report["tail_fit"]["t_nu"] is None
 
 
+def test_report_schema_is_a_valid_schema():
+    # build_report validates against a validator built once, which does
+    # not check the schema itself; this does.
+    jsonschema.Draft202012Validator.check_schema(REPORT_SCHEMA)
+
+
 def test_schema_rejects_corrupt_reports(tmp_path):
     p = tmp_path / "in.csv"
     _write_golden_input(str(p))

@@ -54,14 +54,14 @@ def test_every_stream_of_an_analysis_and_a_study_is_distinct(monkeypatch):
     used = set(keys)
     assert {key[1] for key in used} == {
         distributions.TFD_CALIBRATION, distributions.TD_CALIBRATION,
-        distributions.CHI2_NULL, distributions.TD_GAUSS_NULL, distributions.STUDY,
+        distributions.CHI2_NULL, distributions.STUDY,
     }
-    # Per run: the two calibrations, the pooled chi2 null (ceil(bootstrap /
-    # 128) draws: the default band has 128 complex-valued bins) and the TD
-    # Gaussian null; the study adds its 2 x 3 inputs.
+    # Per run: the two calibrations and the pooled chi2 null (ceil(bootstrap
+    # / 128) draws: the default band has 128 complex-valued bins); the study
+    # adds its 2 x 3 inputs.
     assert len(used) == len(keys) == (
-        2 * CAL + math.ceil(BOOT / 128) + BOOT
-        + 2 * CAL + math.ceil(30 / 128) + 30 + 2 * 3
+        2 * CAL + math.ceil(BOOT / 128)
+        + 2 * CAL + math.ceil(30 / 128) + 2 * 3
     )
     first = {real(*key).bit_generator.random_raw() for key in used}
     assert len(first) == len(used)

@@ -31,16 +31,19 @@ from tailprobe import (
     td_verdict,
 )
 from tailprobe import verdict
+from tailprobe.distributions import TD_CALIBRATION, stream
 from tailprobe.tailfit import _fit_sym_pareto, _fit_t
 from tailprobe.verdict import (
     STATUS_FALLBACK,
     STATUS_OK,
     STATUS_SKIPPED,
+    TD_GAUSSIAN_KS_MAX,
     _bin_ks_stats,
-    _td_slope,
+    _td_slopes,
     band_bin_indices,
     classify,
     tail_evidence,
+    td_gaussian_stat,
 )
 
 CFG = SpectrogramConfig()
@@ -165,6 +168,21 @@ def test_td_threshold_calibration():
     assert v.finite and bool(v)
 
 
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("n", [2000, 10_000])
+@pytest.mark.parametrize("replicates", [20, 23])
+def test_td_calibration_in_blocks_equals_per_draw_slopes(replicates, n, workers):
+    # The kernel takes the draws in blocks (25 at n = 2 000, 5 at n = 10 000,
+    # the last one short at 23 replicates); the threshold must equal the
+    # quantile of one kernel call per draw, bit for bit.
+    seg = SegmentationConfig()
+    draws = [stream(SEED, TD_CALIBRATION, i).standard_normal(n) for i in range(replicates)]
+    per_draw = [abs(_td_slopes(z[:, None], seg)[0][0]) for z in draws]
+    got = calibrate_td_threshold(n, seg, replicates=replicates, seed=SEED,
+                                 workers=workers)
+    assert got == np.quantile(per_draw, 0.99, method="hazen")
+
+
 # ------------------------------------------------------------- tail evidence
 
 def test_tail_evidence_known_families():
@@ -232,7 +250,7 @@ def test_overflowing_gaussian_is_a_compute_error():
         with pytest.raises(ComputeError):
             tail_evidence(x)
         with pytest.raises(ComputeError):
-            _td_slope(x, SegmentationConfig())
+            _td_slopes(x[:, None], SegmentationConfig())
         with pytest.raises(ComputeError):
             td_verdict(x, calibration_replicates=CAL, seed=SEED)
         with pytest.raises(ComputeError):
@@ -275,8 +293,32 @@ def test_chi2_evidence_finite_heavy_signal_fails_td_gate():
     x = sample(SymPareto(6.0, 1.0), N, np.random.default_rng(202))
     spec = spectrogram(x, CFG)
     ev = chi2_evidence(x, spec, None, bootstrap=BOOT, seed=SEED)
-    assert ev.td_gaussian_p <= 0.01
+    assert ev.td_gaussian_stat > TD_GAUSSIAN_KS_MAX
     assert not ev.passed
+
+
+@pytest.mark.parametrize("bootstrap", [10, 98, 200])
+def test_td_gate_rejects_a_non_gaussian_sample_at_any_bootstrap(bootstrap):
+    # A null of b Monte-Carlo draws gives p >= 1 / (b + 1), which cannot
+    # reach 0.01 below b = 99; the closed-form bound does not read b.
+    x = sample(SymPareto(6.0, 1.0), N, np.random.default_rng(202))
+    ev = chi2_evidence(x, spectrogram(x, CFG), None, bootstrap=bootstrap, seed=SEED)
+    assert ev.td_gaussian_bound == TD_GAUSSIAN_KS_MAX
+    assert ev.td_gaussian_stat > TD_GAUSSIAN_KS_MAX
+    assert not ev.passed
+
+
+def test_td_gate_size_is_near_one_percent():
+    # Stephens' 1% point sits a little below the simulated 99% point of
+    # the modified statistic (about 1.05-1.065), so the gate rejects a
+    # Gaussian sample slightly more often than 1 in 100.
+    rng = np.random.default_rng(2000)
+    draws = 4000
+    rejected = sum(
+        td_gaussian_stat(rng.standard_normal(2000)) > TD_GAUSSIAN_KS_MAX
+        for _ in range(draws)
+    )
+    assert 0.005 <= rejected / draws <= 0.02
 
 
 def test_chi2_evidence_infinite_variance_rejects_bins():
