@@ -6,10 +6,13 @@ Decision layers, from raw signal to category:
    ordering studies): normalize -> ECFM -> jump detection -> last long
    segment -> OLS slope, per time-domain signal and per spectrogram bin.
    One kernel runs the whole chain as a single array pass over all the
-   band's bins, or over a block of time-domain signals (one per column),
-   for the profile, both calibrations and the TD slope alike. Its order
-   statistics come from one sort per row (of the values, then of the
-   increments), not from numpy's partition-based quantile and median.
+   band's bins (the time-domain signal is a one-column matrix), for the
+   profile, both calibrations and the TD slope alike. Its order statistics
+   come from sorted rows, not from numpy's partition-based quantile and
+   median: one sort of each row's values gives the normalization both its
+   median and the 10-90% band of its conditional std, and one sort of the
+   increments gives both the median of the positive ones and the quartiles
+   behind the jump threshold.
    Thresholds for these statistics are calibrated as high quantiles of a
    Gaussian null simulated at the same length and configuration.
 
@@ -21,15 +24,13 @@ Decision layers, from raw signal to category:
    moment-fitted generalized chi-squared, calibrated against a Monte-Carlo
    null pushed through the same spectrogram pipeline (overlapping frames
    correlate the bins, which invalidates the iid bootstrap here), plus
-   Stephens' closed-form Gaussian KS gate on the time-domain signal
-   (``td_gaussian_stat``). Both must pass. The per-bin KS is exact, but the
-   CDF is evaluated only where the maximum can lie (values at sparse knots
-   bound it in between). Under white Gaussian input the band's
-   complex-valued bins are exchangeable, so the null is one pool of their
-   KS distances over ceil(bootstrap / m) draws (m such bins): at least
-   ``bootstrap`` values from a few spectrograms. The real-valued DC and
-   Nyquist bins follow another law; they get no p-value and do not count
-   in the median or the fraction below 0.05.
+   Stephens' closed-form Gaussian KS gate on the time-domain signal. Both
+   must pass. The per-bin KS is exact, but the CDF is evaluated only where
+   the maximum can lie (values at sparse knots bound it in between). Under
+   white Gaussian input the band's complex-valued bins are exchangeable, so
+   the null pools their KS distances over ceil(bootstrap / m) draws (m such
+   bins). The real-valued DC and Nyquist bins follow another law and get no
+   p-value; they count in neither the median nor the fraction below 0.05.
 
 The Monte-Carlo nulls (both slope thresholds and the chi2 pipeline null)
 live in one table, each keyed on the full configuration that sets it and
@@ -67,7 +68,6 @@ STATUS_FALLBACK = 1  # no segment long enough; fallback segment used
 STATUS_SKIPPED = 2   # degenerate sub-signal; no slope
 
 _MIN_FRAMES = 12  # >= 10 increments for jump detection plus fit headroom
-_TD_BLOCK_VALUES = 50_000  # values per TD calibration block (changes no bit)
 
 
 # --------------------------------------------------------------------------
@@ -213,13 +213,13 @@ def _last_segment_slopes(
     return slopes, status
 
 
-def _td_slopes(columns: np.ndarray, seg_cfg: SegmentationConfig) -> tuple:
-    """Last-segment slope of each time-domain signal (a column) and whether
-    the fallback segment was used; raises DataError on degenerate input."""
-    slopes, status = _last_segment_slopes(columns, seg_cfg)
-    if np.any(status == STATUS_SKIPPED):
+def _td_slope(x: np.ndarray, seg_cfg: SegmentationConfig) -> tuple[float, bool]:
+    """Last-segment slope of one time-domain signal and whether the
+    fallback segment was used; raises DataError on degenerate input."""
+    slopes, status = _last_segment_slopes(x[:, None], seg_cfg)
+    if status[0] == STATUS_SKIPPED:
         raise DataError("signal too degenerate for a last-segment slope")
-    return slopes, status == STATUS_FALLBACK
+    return float(slopes[0]), bool(status[0] == STATUS_FALLBACK)
 
 
 def slope_profile(
@@ -243,21 +243,17 @@ def slope_profile(
 
 
 def _gaussian_stats(stat, n: int, count: int, seed: int, stream_id: int,
-                    workers: int, block: int = 1) -> np.ndarray:
-    """``stat`` of ``count`` white Gaussian draws of length n, handed to it
-    ``block`` at a time as the columns of an (n, k) matrix and stacked in
+                    workers: int) -> np.ndarray:
+    """``stat`` of ``count`` white Gaussian draws of length n, stacked in
     order; draw i comes from stream (seed, stream_id, i), for any workers."""
 
-    def one(start: int):
-        draws = range(start, min(start + block, count))
-        return stat(np.array([stream(seed, stream_id, i).standard_normal(n)
-                              for i in draws]).T)
+    def one(i: int):
+        return stat(stream(seed, stream_id, i).standard_normal(n))
 
-    starts = range(0, count, block)
     if workers <= 1:
-        return np.concatenate([one(s) for s in starts])
+        return np.asarray([one(i) for i in range(count)])
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return np.concatenate(list(pool.map(one, starts)))
+        return np.asarray(list(pool.map(one, range(count))))
 
 
 # The memoized Monte-Carlo nulls. A key is a tuple: the table's tag ("tfd",
@@ -295,8 +291,7 @@ def calibrate_threshold(
     if replicates < 20:
         raise ConfigError(f"calibration needs >= 20 replicates, got {replicates}")
     medians = _gaussian_stats(
-        lambda z: [slope_profile(spectrogram(z[:, 0], spect_cfg), band, seg_cfg)
-                   .median_abs],
+        lambda z: slope_profile(spectrogram(z, spect_cfg), band, seg_cfg).median_abs,
         n_samples, replicates, seed, TFD_CALIBRATION, workers,
     )
     return float(quantile(medians, quantile_level))
@@ -314,9 +309,8 @@ def calibrate_td_threshold(
     if replicates < 20:
         raise ConfigError(f"calibration needs >= 20 replicates, got {replicates}")
     stats = _gaussian_stats(
-        lambda z: np.abs(_td_slopes(z, seg_cfg)[0]),
+        lambda z: abs(_td_slope(z, seg_cfg)[0]),
         n_samples, replicates, seed, TD_CALIBRATION, workers,
-        block=max(1, _TD_BLOCK_VALUES // n_samples),
     )
     return float(quantile(stats, quantile_level))
 
@@ -355,7 +349,7 @@ def td_verdict(
     x = clean_sample(values)
     if len(x) < 20:
         raise DataError(f"need a 1-D signal of length >= 20, got shape {x.shape}")
-    slopes, fallback = _td_slopes(x[:, None], seg_cfg)
+    slope, used_fallback = _td_slope(x, seg_cfg)
     n = len(x)
     threshold = _memo(
         ("td", n, seg_cfg, calibration_replicates, seed),
@@ -366,9 +360,9 @@ def td_verdict(
     evidence = tail_evidence(x)
     return TdVerdict(
         finite=evidence.td_finite,
-        slope=float(slopes[0]),
+        slope=slope,
         threshold=threshold,
-        slope_fallback=bool(fallback[0]),
+        slope_fallback=used_fallback,
         evidence=evidence,
     )
 
@@ -460,8 +454,8 @@ def _pipeline_null_ks(
     idx = band_bin_indices(bin_freqs(spect_cfg), band)
     idx = idx[_complex_bins(idx, spect_cfg.nfft)]
 
-    def one(z: np.ndarray) -> list:
-        return [_bin_ks_stats(spectrogram(z[:, 0], spect_cfg).values[:, idx])]
+    def one(z: np.ndarray) -> np.ndarray:
+        return _bin_ks_stats(spectrogram(z, spect_cfg).values[:, idx])
 
     draws = -(-bootstrap // len(idx))
     ks = _gaussian_stats(one, n_samples, draws, seed, CHI2_NULL, workers)
@@ -469,8 +463,7 @@ def _pipeline_null_ks(
 
 
 def td_gaussian_stat(values) -> float:
-    """Stephens' (1974, JASA) modified KS for the normal law with estimated
-    mean and variance: ``gauss_ks`` times sqrt(n) - 0.01 + 0.85 / sqrt(n)."""
+    """Stephens' (1974) modified KS for the normal law, mean and variance estimated."""
     root_n = np.sqrt(len(values))
     return float(gauss_ks(values) * (root_n - 0.01 + 0.85 / root_n))
 

@@ -31,7 +31,6 @@ from tailprobe import (
     td_verdict,
 )
 from tailprobe import verdict
-from tailprobe.distributions import TD_CALIBRATION, stream
 from tailprobe.tailfit import _fit_sym_pareto, _fit_t
 from tailprobe.verdict import (
     STATUS_FALLBACK,
@@ -39,7 +38,7 @@ from tailprobe.verdict import (
     STATUS_SKIPPED,
     TD_GAUSSIAN_KS_MAX,
     _bin_ks_stats,
-    _td_slopes,
+    _td_slope,
     band_bin_indices,
     classify,
     tail_evidence,
@@ -168,21 +167,6 @@ def test_td_threshold_calibration():
     assert v.finite and bool(v)
 
 
-@pytest.mark.parametrize("workers", [1, 3])
-@pytest.mark.parametrize("n", [2000, 10_000])
-@pytest.mark.parametrize("replicates", [20, 23])
-def test_td_calibration_in_blocks_equals_per_draw_slopes(replicates, n, workers):
-    # The kernel takes the draws in blocks (25 at n = 2 000, 5 at n = 10 000,
-    # the last one short at 23 replicates); the threshold must equal the
-    # quantile of one kernel call per draw, bit for bit.
-    seg = SegmentationConfig()
-    draws = [stream(SEED, TD_CALIBRATION, i).standard_normal(n) for i in range(replicates)]
-    per_draw = [abs(_td_slopes(z[:, None], seg)[0][0]) for z in draws]
-    got = calibrate_td_threshold(n, seg, replicates=replicates, seed=SEED,
-                                 workers=workers)
-    assert got == np.quantile(per_draw, 0.99, method="hazen")
-
-
 # ------------------------------------------------------------- tail evidence
 
 def test_tail_evidence_known_families():
@@ -250,7 +234,7 @@ def test_overflowing_gaussian_is_a_compute_error():
         with pytest.raises(ComputeError):
             tail_evidence(x)
         with pytest.raises(ComputeError):
-            _td_slopes(x[:, None], SegmentationConfig())
+            _td_slope(x, SegmentationConfig())
         with pytest.raises(ComputeError):
             td_verdict(x, calibration_replicates=CAL, seed=SEED)
         with pytest.raises(ComputeError):
