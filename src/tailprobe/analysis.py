@@ -19,38 +19,19 @@ import jsonschema
 from .errors import ConfigError
 from .gof import empirical_tail
 from .quantiles import median
-from .segmentation import SegmentationConfig
 from .signal_io import Signal
-from .tfr import SpectrogramConfig
 from .verdict import (
     STATUS_FALLBACK,
+    STATUS_OK,
     STATUS_SKIPPED,
+    AnalysisConfig,
     VarianceVerdict,
     assess,
 )
 
 SCHEMA_VERSION = "2"
 
-_STATUS_NAMES = {0: "ok", STATUS_FALLBACK: "fallback", STATUS_SKIPPED: "skipped"}
-
-
-@dataclass(frozen=True)
-class AnalysisConfig:
-    spect: SpectrogramConfig = SpectrogramConfig()
-    band: tuple[float, float] | None = None
-    seg: SegmentationConfig = SegmentationConfig()
-    seed: int = 0
-    bootstrap: int = 200
-    calibration_replicates: int = 100
-    workers: int = 1
-
-    def __post_init__(self):
-        if self.seed < 0:
-            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
-        if self.bootstrap < 1:
-            raise ConfigError(f"bootstrap must be >= 1, got {self.bootstrap}")
-        if self.workers < 1:
-            raise ConfigError(f"workers must be >= 1, got {self.workers}")
+_STATUS_NAMES = {STATUS_OK: "ok", STATUS_FALLBACK: "fallback", STATUS_SKIPPED: "skipped"}
 
 
 @dataclass(frozen=True)
@@ -63,17 +44,8 @@ class AnalysisResult:
 def analyze(signal: Signal, cfg: AnalysisConfig = AnalysisConfig()) -> AnalysisResult:
     """Spectrogram -> band slope profile -> TD verdict -> per-bin KS ->
     category, with the signal's own sample rate driving the frequency axis."""
-    spect_cfg = replace(cfg.spect, sample_rate_hz=signal.sample_rate_hz)
-    verdict = assess(
-        signal.values,
-        spect_cfg=spect_cfg,
-        band=cfg.band,
-        seg_cfg=cfg.seg,
-        seed=cfg.seed,
-        bootstrap=cfg.bootstrap,
-        calibration_replicates=cfg.calibration_replicates,
-        workers=cfg.workers,
-    )
+    cfg = replace(cfg, spect=replace(cfg.spect, sample_rate_hz=signal.sample_rate_hz))
+    verdict = assess(signal.values, cfg)
     return AnalysisResult(signal=signal, config=cfg, verdict=verdict)
 
 

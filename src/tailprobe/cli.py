@@ -166,7 +166,7 @@ def _fmt(x: float) -> str:
 def cmd_analyze(opts: dict[str, dict]) -> int:
     signal = _load(opts)
     cfg = AnalysisConfig(
-        spect=SpectrogramConfig(**opts["spect"], sample_rate_hz=signal.sample_rate_hz),
+        spect=SpectrogramConfig(**opts["spect"]),
         seg=SegmentationConfig(**opts["seg"]),
         **opts["main"],
     )

@@ -2,12 +2,14 @@
 
 Replicate r of scenario s draws its sample from the stream
 ``(seed, STUDY, s, r)`` of ``distributions.stream``, so any row can be
-regenerated in isolation. The verdict's Monte-Carlo nulls draw from their
-own streams of the same seed, so they are computed once per configuration:
-the first row builds them with ``workers`` threads, and the remaining rows
-reuse them, ``workers`` rows at a time. Outputs are a CSV of
-per-replicate slope summaries and verdicts plus a JSON summary, both written
-deterministically (same bytes for the same config, any worker count).
+regenerated in isolation: it is ``assess(sample(spec, n_samples, stream(seed,
+STUDY, s, r)), cfg)``. The verdict's Monte-Carlo nulls draw from their own
+streams of the same seed, so they are computed once per configuration: the
+first row builds them with ``workers`` threads, and the remaining rows,
+``workers`` at a time, only reuse them (so only the first row's ``workers``
+is read). Outputs are a CSV of per-replicate slope summaries and verdicts
+plus a JSON summary, both written deterministically (same bytes for the
+same config, any worker count).
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analysis import AnalysisConfig
 from .distributions import (
     STUDY,
     AlphaStable,
@@ -32,7 +33,7 @@ from .distributions import (
 )
 from .errors import ConfigError
 from .quantiles import median, quantile
-from .verdict import assess
+from .verdict import AnalysisConfig, assess
 
 _LOW_CONFIDENCE_REPLICATES = 10  # fewer than this flags the summary
 
@@ -149,19 +150,9 @@ class StudyResult:
     summary_json_path: str | None = None
 
 
-def _one_row(cfg: StudyConfig, s: int, r: int, workers: int = 1) -> StudyRow:
+def _one_row(cfg: StudyConfig, s: int, r: int) -> StudyRow:
     scen = cfg.scenarios[s]
-    x = sample(scen.spec, cfg.n_samples, stream(cfg.seed, STUDY, s, r))
-    v = assess(
-        x,
-        spect_cfg=cfg.spect,
-        band=cfg.band,
-        seg_cfg=cfg.seg,
-        seed=cfg.seed,
-        bootstrap=cfg.bootstrap,
-        calibration_replicates=cfg.calibration_replicates,
-        workers=workers,
-    )
+    v = assess(sample(scen.spec, cfg.n_samples, stream(cfg.seed, STUDY, s, r)), cfg)
     return StudyRow(
         scenario=scen.name,
         replicate=r,
@@ -176,15 +167,17 @@ def run_study(cfg: StudyConfig, out_dir: str | None = None) -> StudyResult:
     """Run every scenario x replicate, optionally writing study_slopes.csv
     and study_summary.json into out_dir."""
     tasks = [(s, r) for s in range(len(cfg.scenarios)) for r in range(cfg.replicates)]
-    # The first row builds the shared nulls with worker parallelism; the
-    # rest only read them, so they run in parallel without duplicate work.
-    first = _one_row(cfg, *tasks[0], workers=cfg.workers)
+    # The first row builds the shared nulls with ``workers`` threads; the
+    # rest only read them (their ``workers`` goes unread), so they run in
+    # parallel without duplicate work.
+    first = _one_row(cfg, *tasks[0])
     with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
         rows = (first, *pool.map(lambda task: _one_row(cfg, *task), tasks[1:]))
 
     scenarios_summary = []
     for s, scen in enumerate(cfg.scenarios):
-        sub = [row for row in rows if row.scenario == scen.name]
+        # Rows come out scenario-major; a name may be listed twice.
+        sub = rows[s * cfg.replicates:(s + 1) * cfg.replicates]
         cats = np.array([row.category for row in sub])
         expected = expected_category(scen.spec)
         scenarios_summary.append(

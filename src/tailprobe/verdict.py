@@ -316,6 +316,32 @@ def calibrate_td_threshold(
 
 
 # --------------------------------------------------------------------------
+# Analysis settings
+
+@dataclass(frozen=True)
+class AnalysisConfig:
+    """Every setting of one verdict: the spectrogram, the band (None: upper
+    half), the segmentation, the seed of the Monte-Carlo nulls, their sizes,
+    and the threads that build them."""
+
+    spect: SpectrogramConfig = SpectrogramConfig()
+    band: tuple[float, float] | None = None
+    seg: SegmentationConfig = SegmentationConfig()
+    seed: int = 0
+    bootstrap: int = 200
+    calibration_replicates: int = 100
+    workers: int = 1
+
+    def __post_init__(self):
+        if self.seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
+        if self.bootstrap < 1:
+            raise ConfigError(f"bootstrap must be >= 1, got {self.bootstrap}")
+        if self.workers < 1:
+            raise ConfigError(f"workers must be >= 1, got {self.workers}")
+
+
+# --------------------------------------------------------------------------
 # Time-domain verdict
 
 @dataclass(frozen=True)
@@ -333,13 +359,7 @@ class TdVerdict:
         return self.finite
 
 
-def td_verdict(
-    values,
-    seg_cfg: SegmentationConfig = SegmentationConfig(),
-    calibration_replicates: int = 100,
-    seed: int = 0,
-    workers: int = 1,
-) -> TdVerdict:
+def td_verdict(values, cfg: AnalysisConfig = AnalysisConfig()) -> TdVerdict:
     """Finite/infinite call for the time-domain signal's background noise.
 
     The decision comes from the tail-identification tree; the last-segment
@@ -349,12 +369,13 @@ def td_verdict(
     x = clean_sample(values)
     if len(x) < 20:
         raise DataError(f"need a 1-D signal of length >= 20, got shape {x.shape}")
-    slope, used_fallback = _td_slope(x, seg_cfg)
+    slope, used_fallback = _td_slope(x, cfg.seg)
     n = len(x)
     threshold = _memo(
-        ("td", n, seg_cfg, calibration_replicates, seed),
+        ("td", n, cfg.seg, cfg.calibration_replicates, cfg.seed),
         lambda: calibrate_td_threshold(
-            n, seg_cfg, replicates=calibration_replicates, seed=seed, workers=workers
+            n, cfg.seg, replicates=cfg.calibration_replicates, seed=cfg.seed,
+            workers=cfg.workers,
         ),
     )
     evidence = tail_evidence(x)
@@ -469,28 +490,24 @@ def td_gaussian_stat(values) -> float:
 
 
 def chi2_evidence(
-    values: np.ndarray,
-    spec: Spectrogram,
-    band: tuple[float, float] | None,
-    bootstrap: int = 200,
-    seed: int = 0,
-    workers: int = 1,
+    values: np.ndarray, spec: Spectrogram, cfg: AnalysisConfig = AnalysisConfig()
 ) -> Chi2Evidence:
     """Two-part Gaussian-spectrogram check: per-bin KS p-values against the
     pooled pipeline-matched null, and ``td_gaussian_stat`` at most
     ``TD_GAUSSIAN_KS_MAX``. Real-valued (DC, Nyquist) and degenerate bins get
-    p = NaN and do not count in the median or the fraction."""
-    if bootstrap < 1:
-        raise ConfigError(f"bootstrap count must be >= 1, got {bootstrap}")
+    p = NaN and do not count in the median or the fraction. The null is
+    built for ``spec.config``, the configuration that made ``spec``."""
     n = len(values)
-    idx = band_bin_indices(spec.freqs_hz, band)
+    idx = band_bin_indices(spec.freqs_hz, cfg.band)
     ks = _bin_ks_stats(spec.values[:, idx])
     valid = np.isfinite(ks) & _complex_bins(idx, spec.config.nfft)
     if not np.any(valid):
         raise DataError("all complex-valued bins in the band are degenerate")
     null = _memo(
-        ("chi2", n, spec.config, band, bootstrap, seed),
-        lambda: _pipeline_null_ks(n, spec.config, band, bootstrap, seed, workers),
+        ("chi2", n, spec.config, cfg.band, cfg.bootstrap, cfg.seed),
+        lambda: _pipeline_null_ks(
+            n, spec.config, cfg.band, cfg.bootstrap, cfg.seed, cfg.workers
+        ),
     )
     p = np.full(len(idx), np.nan)
     exceed = len(null) - np.searchsorted(null, ks[valid], side="left")
@@ -548,33 +565,22 @@ class VarianceVerdict:
     chi2: Chi2Evidence
 
 
-def assess(
-    values,
-    spect_cfg: SpectrogramConfig = SpectrogramConfig(),
-    band: tuple[float, float] | None = None,
-    seg_cfg: SegmentationConfig = SegmentationConfig(),
-    seed: int = 0,
-    bootstrap: int = 200,
-    calibration_replicates: int = 100,
-    workers: int = 1,
-) -> VarianceVerdict:
+def assess(values, cfg: AnalysisConfig = AnalysisConfig()) -> VarianceVerdict:
     """End-to-end verdict for one signal: spectrogram, band slope profile
     with its calibrated threshold, TD verdict, chi2 check, category."""
     x = clean_sample(values)
-    spec = spectrogram(x, spect_cfg)
-    profile = slope_profile(spec, band, seg_cfg)
+    spec = spectrogram(x, cfg.spect)
+    profile = slope_profile(spec, cfg.band, cfg.seg)
     tfd_threshold = _memo(
-        ("tfd", len(x), spect_cfg, band, seg_cfg, calibration_replicates, seed),
+        ("tfd", len(x), cfg.spect, cfg.band, cfg.seg, cfg.calibration_replicates,
+         cfg.seed),
         lambda: calibrate_threshold(
-            len(x), spect_cfg, band, seg_cfg,
-            replicates=calibration_replicates, seed=seed, workers=workers,
+            len(x), cfg.spect, cfg.band, cfg.seg,
+            replicates=cfg.calibration_replicates, seed=cfg.seed, workers=cfg.workers,
         ),
     )
-    td = td_verdict(
-        x, seg_cfg,
-        calibration_replicates=calibration_replicates, seed=seed, workers=workers,
-    )
-    chi2 = chi2_evidence(x, spec, band, bootstrap=bootstrap, seed=seed, workers=workers)
+    td = td_verdict(x, cfg)
+    chi2 = chi2_evidence(x, spec, cfg)
     category, warnings = classify(td.finite, td.evidence.tfd_finite, chi2.passed)
     return VarianceVerdict(
         td_finite=td.finite,

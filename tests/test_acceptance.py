@@ -225,10 +225,11 @@ def test_criterion_4_category_accuracy(study):
 def test_criterion_5_chi2_size_and_power():
     t0 = time.perf_counter()
     cfg = SpectrogramConfig()
+    null_cfg = AnalysisConfig(spect=cfg, bootstrap=200, seed=0)
     gauss = np.random.default_rng(0).standard_normal(10_000)
-    size = chi2_evidence(gauss, spectrogram(gauss, cfg), None, bootstrap=200, seed=0)
+    size = chi2_evidence(gauss, spectrogram(gauss, cfg), null_cfg)
     heavy = sample(AlphaStable(1.5, 1.0), 10_000, 0)
-    power = chi2_evidence(heavy, spectrogram(heavy, cfg), None, bootstrap=200, seed=0)
+    power = chi2_evidence(heavy, spectrogram(heavy, cfg), null_cfg)
     elapsed = time.perf_counter() - t0
     size_ok = size.median_bin_p > 0.05 and size.frac_bins_below_05 <= 0.10
     power_ok = power.frac_bins_below_05 >= 0.95

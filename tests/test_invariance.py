@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tailprobe import (
+    AnalysisConfig,
     ComputeError,
     SpectrogramConfig,
     StudyConfig,
@@ -43,8 +44,9 @@ def test_every_stream_of_an_analysis_and_a_study_is_distinct(monkeypatch):
     monkeypatch.setattr(verdict, "stream", recording)
     monkeypatch.setattr(study, "stream", recording)
     clear_caches()
-    assess(np.random.default_rng(1).standard_normal(N), spect_cfg=SpectrogramConfig(),
-           seed=SEED, bootstrap=BOOT, calibration_replicates=CAL)
+    assess(np.random.default_rng(1).standard_normal(N), AnalysisConfig(
+        spect=SpectrogramConfig(), seed=SEED, bootstrap=BOOT, calibration_replicates=CAL,
+    ))
     clear_caches()
     run_study(StudyConfig(
         scenarios=(parse_scenario("stable:2:1"), parse_scenario("t:3:1")),
@@ -119,4 +121,4 @@ def test_t_fit_is_scale_free_at_tiny_scales():
 def test_td_verdict_overflow_is_a_compute_error():
     x = sample(TLocScale(3.0, 1.0), N, np.random.default_rng(14))
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ComputeError):
-        td_verdict(1e154 * x, calibration_replicates=CAL, seed=SEED)
+        td_verdict(1e154 * x, AnalysisConfig(calibration_replicates=CAL, seed=SEED))

@@ -11,15 +11,21 @@ from tailprobe import (
     ConfigError,
     GenChi2,
     Scenario,
+    Signal,
     StudyConfig,
     SymPareto,
     TLocScale,
+    analyze,
+    assess,
     clear_caches,
     default_scenarios,
     expected_category,
     parse_scenario,
     run_study,
+    sample,
 )
+from tailprobe import analysis, study, verdict
+from tailprobe.distributions import STUDY, stream
 
 TINY = dict(n_samples=4000, replicates=3, bootstrap=120,
             calibration_replicates=20, seed=7)
@@ -169,3 +175,57 @@ def test_run_study_accuracy_on_gaussian_scenario():
     acc = res.summary["scenarios"][0]["accuracy"]
     assert acc >= 0.9
     assert res.summary["low_confidence"] is False
+
+
+def test_run_study_summarizes_a_repeated_scenario_by_position():
+    s = parse_scenario("stable:2:1")
+    cfg = StudyConfig(scenarios=(s, s), n_samples=2000, replicates=2,
+                      calibration_replicates=20, bootstrap=20)
+    res = run_study(cfg)
+    for k, entry in enumerate(res.summary["scenarios"]):
+        rows = res.rows[2 * k:2 * k + 2]
+        assert sum(entry["category_counts"].values()) == 2
+        assert entry["td_finite_rate"] == np.mean([row.td_finite for row in rows])
+        assert entry["median_of_median_abs_slope"] == np.median(
+            [row.median_abs_slope for row in rows])
+
+
+def test_a_study_row_regenerates_on_its_own():
+    cfg = _tiny_config()
+    res = run_study(cfg)
+    for k, row in enumerate(res.rows):
+        s, r = divmod(k, cfg.replicates)
+        assert (row.scenario, row.replicate) == (cfg.scenarios[s].name, r)
+        x = sample(cfg.scenarios[s].spec, cfg.n_samples, stream(cfg.seed, STUDY, s, r))
+        v = assess(x, cfg)
+        assert row.category == v.category
+        assert row.td_finite == v.td_finite
+        assert row.median_abs_slope == v.profile.median_abs
+        assert row.iqr_abs_slope == v.profile.iqr_abs
+
+
+# Each layer at the module attribute its caller looks it up through, and the
+# calls that one analyze and a one-row study make of it.
+@pytest.mark.parametrize("module, name, from_analyze, from_study", [
+    (analysis, "assess", 1, 0),
+    (study, "assess", 0, 1),
+    (verdict, "td_verdict", 1, 1),
+    (verdict, "chi2_evidence", 1, 1),
+])
+def test_analyze_and_run_study_call_each_layer_through_its_module(
+    monkeypatch, module, name, from_analyze, from_study
+):
+    calls = []
+    fn = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    cfg = StudyConfig(scenarios=(parse_scenario("t:3:1"),), **dict(TINY, replicates=1))
+    x = sample(cfg.scenarios[0].spec, cfg.n_samples, np.random.default_rng(8))
+    analyze(Signal(values=x, sample_rate_hz=cfg.spect.sample_rate_hz), cfg)
+    assert len(calls) == from_analyze
+    run_study(cfg)
+    assert len(calls) == from_analyze + from_study

@@ -2,12 +2,15 @@
 thresholds, tail-shape evidence, the per-bin squared-magnitude law check,
 and the four-way classification."""
 
+from dataclasses import replace
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from tailprobe import (
     AlphaStable,
+    AnalysisConfig,
     ComputeError,
     ConfigError,
     DataError,
@@ -48,6 +51,7 @@ from tailprobe.verdict import (
 CFG = SpectrogramConfig()
 # shared small-scale settings so the memoized Monte Carlo tables are reused
 N, BOOT, CAL, SEED = 6000, 120, 20, 7
+SMALL = AnalysisConfig(spect=CFG, seed=SEED, bootstrap=BOOT, calibration_replicates=CAL)
 
 
 # ------------------------------------------------------------ band selection
@@ -163,7 +167,7 @@ def test_td_threshold_calibration():
     assert 0.0 < thr < 1.0
     # Gaussian slopes fall at or below the calibrated level most of the time
     x = np.random.default_rng(21).standard_normal(N)
-    v = td_verdict(x, calibration_replicates=CAL, seed=SEED)
+    v = td_verdict(x, SMALL)
     assert v.finite and bool(v)
 
 
@@ -236,7 +240,7 @@ def test_overflowing_gaussian_is_a_compute_error():
         with pytest.raises(ComputeError):
             _td_slope(x, SegmentationConfig())
         with pytest.raises(ComputeError):
-            td_verdict(x, calibration_replicates=CAL, seed=SEED)
+            td_verdict(x, SMALL)
         with pytest.raises(ComputeError):
             ks_pvalue_mc(x, family="gaussian", bootstrap=20)
         with pytest.raises(ComputeError):
@@ -250,13 +254,13 @@ def test_tail_evidence_rejects_a_constant_signal():
 
 def test_td_verdict_heavy_tail():
     x = sample(AlphaStable(1.5, 1.0), 10_000, np.random.default_rng(30))
-    v = td_verdict(x, calibration_replicates=CAL, seed=SEED)
+    v = td_verdict(x, SMALL)
     assert not v.finite and not bool(v)
 
 
 def test_td_verdict_needs_data():
     with pytest.raises(DataError):
-        td_verdict(np.ones(10), calibration_replicates=CAL, seed=SEED)
+        td_verdict(np.ones(10), SMALL)
 
 
 # ----------------------------------------------------- squared-magnitude law
@@ -264,7 +268,7 @@ def test_td_verdict_needs_data():
 def test_chi2_evidence_gaussian_passes():
     x = np.random.default_rng(101).standard_normal(N)
     spec = spectrogram(x, CFG)
-    ev = chi2_evidence(x, spec, None, bootstrap=BOOT, seed=SEED)
+    ev = chi2_evidence(x, spec, SMALL)
     assert ev.passed
     assert ev.median_bin_p > 0.05
     assert ev.frac_bins_below_05 <= 0.10
@@ -276,7 +280,7 @@ def test_chi2_evidence_finite_heavy_signal_fails_td_gate():
     # signal itself is visibly non-Gaussian
     x = sample(SymPareto(6.0, 1.0), N, np.random.default_rng(202))
     spec = spectrogram(x, CFG)
-    ev = chi2_evidence(x, spec, None, bootstrap=BOOT, seed=SEED)
+    ev = chi2_evidence(x, spec, SMALL)
     assert ev.td_gaussian_stat > TD_GAUSSIAN_KS_MAX
     assert not ev.passed
 
@@ -286,7 +290,7 @@ def test_td_gate_rejects_a_non_gaussian_sample_at_any_bootstrap(bootstrap):
     # A null of b Monte-Carlo draws gives p >= 1 / (b + 1), which cannot
     # reach 0.01 below b = 99; the closed-form bound does not read b.
     x = sample(SymPareto(6.0, 1.0), N, np.random.default_rng(202))
-    ev = chi2_evidence(x, spectrogram(x, CFG), None, bootstrap=bootstrap, seed=SEED)
+    ev = chi2_evidence(x, spectrogram(x, CFG), replace(SMALL, bootstrap=bootstrap))
     assert ev.td_gaussian_bound == TD_GAUSSIAN_KS_MAX
     assert ev.td_gaussian_stat > TD_GAUSSIAN_KS_MAX
     assert not ev.passed
@@ -308,7 +312,7 @@ def test_td_gate_size_is_near_one_percent():
 def test_chi2_evidence_infinite_variance_rejects_bins():
     x = sample(AlphaStable(1.5, 1.0), N, np.random.default_rng(303))
     spec = spectrogram(x, CFG)
-    ev = chi2_evidence(x, spec, None, bootstrap=BOOT, seed=SEED)
+    ev = chi2_evidence(x, spec, SMALL)
     assert ev.frac_bins_below_05 > 0.5
     assert not ev.passed
 
@@ -322,7 +326,7 @@ def _chi2_null(n, band, bootstrap, seed=SEED):
 def test_chi2_p_values_match_a_naive_count_against_the_pool():
     x = sample(TLocScale(6.0, 1.0), N, np.random.default_rng(505))
     spec = spectrogram(x, CFG)
-    ev = chi2_evidence(x, spec, None, bootstrap=BOOT, seed=SEED)
+    ev = chi2_evidence(x, spec, SMALL)
     pool = _chi2_null(N, None, BOOT)
     ks = _bin_ks_stats(spec.values[:, band_bin_indices(spec.freqs_hz, None)])
     tested = np.flatnonzero(np.isfinite(ev.bin_p_values))
@@ -337,7 +341,7 @@ def test_chi2_real_valued_bins_get_no_p_value():
     spec = spectrogram(x, CFG)
     low_band = (0.0, float(spec.freqs_hz[40]))
     for band, real in ((None, -1), (low_band, 0)):  # Nyquist, then DC
-        ev = chi2_evidence(x, spec, band, bootstrap=BOOT, seed=SEED)
+        ev = chi2_evidence(x, spec, replace(SMALL, band=band))
         p = ev.bin_p_values
         assert np.isnan(p[real])
         assert np.count_nonzero(np.isnan(p)) == 1
@@ -358,7 +362,7 @@ def test_chi2_null_draws_ceil_bootstrap_over_m_spectrograms(monkeypatch, bootstr
 
     monkeypatch.setattr(verdict, "spectrogram", counted)
     clear_caches()
-    chi2_evidence(x, spec, None, bootstrap=bootstrap, seed=SEED)
+    chi2_evidence(x, spec, replace(SMALL, bootstrap=bootstrap))
     assert len(calls) == -(-bootstrap // 128)
     pool = _chi2_null(N, None, bootstrap)
     assert len(pool) >= bootstrap
@@ -371,7 +375,7 @@ def test_chi2_evidence_rejects_degenerate_spectrogram(null_builds):
     spec.values[:, 10:] = 3.0
     x = np.random.default_rng(1).standard_normal(400)
     with pytest.raises(DataError, match="degenerate"):
-        chi2_evidence(x, spec, None, bootstrap=10, seed=0)
+        chi2_evidence(x, spec, AnalysisConfig(bootstrap=10, seed=0))
     assert null_builds == {name: [] for name in null_builds}  # raised before any null
 
 
@@ -407,8 +411,7 @@ def test_classify_warns_on_contradictory_verdicts():
 
 def test_assess_gaussian_end_to_end():
     x = np.random.default_rng(101).standard_normal(N)
-    v = assess(x, spect_cfg=CFG, seed=SEED, bootstrap=BOOT,
-               calibration_replicates=CAL)
+    v = assess(x, SMALL)
     assert v.category == 1
     assert v.td_finite and v.tfd_finite and v.chi2_pass
     assert v.warnings == ()
@@ -417,26 +420,22 @@ def test_assess_gaussian_end_to_end():
 
 def test_assess_heavy_stable_end_to_end():
     x = sample(AlphaStable(1.5, 1.0), N, np.random.default_rng(303))
-    v = assess(x, spect_cfg=CFG, seed=SEED, bootstrap=BOOT,
-               calibration_replicates=CAL)
+    v = assess(x, SMALL)
     assert v.category == 4
     assert not v.td_finite
 
 
 def test_assess_intermediate_pareto_end_to_end():
     x = sample(SymPareto(3.0, 1.0), N, np.random.default_rng(404))
-    v = assess(x, spect_cfg=CFG, seed=SEED, bootstrap=BOOT,
-               calibration_replicates=CAL)
+    v = assess(x, SMALL)
     assert v.category == 3
     assert v.td_finite and not v.tfd_finite
 
 
 def test_assess_is_deterministic():
     x = sample(SymPareto(6.0, 1.0), N, np.random.default_rng(202))
-    a = assess(x, spect_cfg=CFG, seed=SEED, bootstrap=BOOT,
-               calibration_replicates=CAL)
-    b = assess(x, spect_cfg=CFG, seed=SEED, bootstrap=BOOT,
-               calibration_replicates=CAL)
+    a = assess(x, SMALL)
+    b = assess(x, SMALL)
     assert a.category == b.category == 2
     assert a.td.slope == b.td.slope
     npt.assert_array_equal(a.chi2.bin_p_values, b.chi2.bin_p_values)
@@ -445,11 +444,9 @@ def test_assess_is_deterministic():
 
 def test_assess_worker_invariance():
     x = np.random.default_rng(101).standard_normal(N)
-    a = assess(x, spect_cfg=CFG, seed=SEED, bootstrap=BOOT,
-               calibration_replicates=CAL, workers=1)
+    a = assess(x, replace(SMALL, workers=1))
     clear_caches()
-    b = assess(x, spect_cfg=CFG, seed=SEED, bootstrap=BOOT,
-               calibration_replicates=CAL, workers=4)
+    b = assess(x, replace(SMALL, workers=4))
     assert a.category == b.category
     assert a.tfd_threshold == b.tfd_threshold
     npt.assert_array_equal(a.chi2.bin_p_values, b.chi2.bin_p_values)
@@ -458,10 +455,9 @@ def test_assess_worker_invariance():
 def test_assess_builds_each_null_once_for_any_worker_count(null_builds):
     clear_caches()
     rng = np.random.default_rng(102)
-    kw = dict(spect_cfg=CFG, seed=SEED, bootstrap=BOOT, calibration_replicates=CAL)
-    assess(rng.standard_normal(N), workers=1, **kw)
-    assess(rng.standard_normal(N), workers=3, **kw)
+    assess(rng.standard_normal(N), replace(SMALL, workers=1))
+    assess(rng.standard_normal(N), replace(SMALL, workers=3))
     assert null_builds == {name: [1] for name in null_builds}
     clear_caches()
-    assess(rng.standard_normal(N), workers=3, **kw)
+    assess(rng.standard_normal(N), replace(SMALL, workers=3))
     assert null_builds == {name: [1, 3] for name in null_builds}
