@@ -2,14 +2,15 @@
 
 Replicate r of scenario s draws its sample from the stream
 ``(seed, STUDY, s, r)`` of ``distributions.stream``, so any row can be
-regenerated in isolation: it is ``assess(sample(spec, n_samples, stream(seed,
-STUDY, s, r)), cfg)``. The verdict's Monte-Carlo nulls draw from their own
-streams of the same seed, so they are computed once per configuration: the
-first row builds them with ``workers`` threads, and the remaining rows,
-``workers`` at a time, only reuse them (so only the first row's ``workers``
-is read). Outputs are a CSV of per-replicate slope summaries and verdicts
-plus a JSON summary, both written deterministically (same bytes for the
-same config, any worker count).
+regenerated in isolation:
+``assess(sample(spec, n_samples, stream(seed, STUDY, s, r)), cfg)``.
+The verdict's Monte-Carlo nulls draw from their own streams of the same
+seed, so they are computed once per configuration: the first row builds
+them with ``workers`` threads, and the remaining rows, ``workers`` at a
+time, only reuse them (so only the first row's ``workers`` is read).
+Outputs are a CSV of per-replicate slope summaries and verdicts plus a
+JSON summary, both written deterministically (same bytes for the same
+config, any worker count).
 """
 
 from __future__ import annotations
