@@ -7,6 +7,7 @@ and assigns one of four categories. See README.md for the pipeline and the
 CLI.
 """
 
+from . import _heap
 from .analysis import (
     AnalysisConfig,
     AnalysisResult,
@@ -76,6 +77,8 @@ from .verdict import (
     slope_profile,
     td_verdict,
 )
+
+_heap._keep_heap_mapped()
 
 __version__ = "0.1.0"
 

@@ -230,7 +230,6 @@ def write_report(result: AnalysisResult, out_path: str) -> dict:
     xs, tail_p = empirical_tail(dev)
     with open(tail_csv, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("abs_deviation,tail_prob\n")
-        for x, p in zip(xs, tail_p):
-            fh.write(f"{float(x)!r},{float(p)!r}\n")
+        fh.write("".join(f"{x!r},{p!r}\n" for x, p in zip(xs.tolist(), tail_p.tolist())))
 
     return {"report": out_path, "slopes_csv": slopes_csv, "tail_csv": tail_csv}

@@ -61,6 +61,14 @@ def test_analyze_missing_input_exits_3(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_analyze_of_a_signal_too_short_for_twelve_frames_exits_3(tmp_path, capsys):
+    _write_gaussian_csv(tmp_path / "sig.csv", n=785)
+    rc = main(["analyze", "--input", str(tmp_path / "sig.csv"),
+               "--bootstrap", "20", "--calibration-replicates", "20"])
+    assert rc == 3
+    assert "11 frames is too few" in capsys.readouterr().err
+
+
 def test_numerical_failure_exits_4(tmp_path, monkeypatch, capsys):
     def failing_analyze(signal, cfg):
         raise np.linalg.LinAlgError("SVD did not converge")

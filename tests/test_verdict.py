@@ -432,6 +432,28 @@ def test_assess_intermediate_pareto_end_to_end():
     assert v.td_finite and not v.tfd_finite
 
 
+# Twelve frames is the shortest input with a verdict: n = 786 at the
+# default 500-sample window and 26-sample hop.
+EDGE = replace(SMALL, bootstrap=20, calibration_replicates=20)
+
+
+def test_assess_refuses_eleven_frames():
+    x = np.random.default_rng(785).standard_normal(785)
+    assert spectrogram(x, CFG).n_frames == 11
+    with pytest.raises(DataError, match="11 frames is too few"):
+        assess(x, EDGE)
+
+
+@pytest.mark.parametrize("n, frames", [(786, 12), (811, 12), (812, 13)])
+def test_assess_gives_a_verdict_from_twelve_frames(n, frames):
+    # n = 811 leaves a trailing partial frame of 25 samples, which is dropped.
+    x = np.random.default_rng(n).standard_normal(n)
+    assert spectrogram(x, CFG).n_frames == frames
+    v = assess(x, EDGE)
+    assert v.category in (1, 2, 3, 4)
+    assert len(v.profile.slopes) == 129
+
+
 def test_assess_is_deterministic():
     x = sample(SymPareto(6.0, 1.0), N, np.random.default_rng(202))
     a = assess(x, SMALL)
