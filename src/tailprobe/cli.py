@@ -61,7 +61,8 @@ _ANALYSIS = {  # the AnalysisConfig fields, which StudyConfig inherits
     "bootstrap": ("main", "bootstrap", dict(type=int)),
     "calibration-replicates": ("main", "calibration_replicates", dict(type=int)),
     "seed": ("main", "seed", dict(type=int)),
-    "workers": ("main", "workers", dict(type=int)),
+    "workers": ("main", "workers", dict(
+        type=int, help="threads that draw the Monte-Carlo nulls")),
 }
 _SIGNAL_FILE = {
     "input": ("cmd", "input", dict(help=".wav or .csv signal")),

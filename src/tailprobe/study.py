@@ -5,19 +5,17 @@ Replicate r of scenario s draws its sample from the stream
 regenerated in isolation:
 ``assess(sample(spec, n_samples, stream(seed, STUDY, s, r)), cfg)``.
 The verdict's Monte-Carlo nulls draw from their own streams of the same
-seed, so they are computed once per configuration: the first row builds
-them with ``workers`` threads, and the remaining rows, ``workers`` at a
-time, only reuse them (so only the first row's ``workers`` is read).
-Outputs are a CSV of per-replicate slope summaries and verdicts plus a
-JSON summary, both written deterministically (same bytes for the same
-config, any worker count).
+seed, so they are computed once per configuration. Rows run in order on
+the calling thread; ``workers`` sizes only the thread pool that draws the
+nulls, on the first row. Outputs are a CSV of per-replicate slope
+summaries and verdicts plus a JSON summary, both written deterministically
+(same bytes for the same config, any worker count).
 """
 
 from __future__ import annotations
 
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -126,10 +124,10 @@ class StudyConfig(AnalysisConfig):
             raise ConfigError("need at least one scenario")
         if self.replicates < 1:
             raise ConfigError(f"replicates must be >= 1, got {self.replicates}")
-        if self.n_samples < 2 * self.spect.window_length:
+        if self.n_samples < self.min_samples:
             raise ConfigError(
-                f"n_samples={self.n_samples} too short for window length "
-                f"{self.spect.window_length}"
+                f"n_samples={self.n_samples} too short: the spectrogram "
+                f"settings need >= {self.min_samples}"
             )
 
 
@@ -167,13 +165,11 @@ def _one_row(cfg: StudyConfig, s: int, r: int) -> StudyRow:
 def run_study(cfg: StudyConfig, out_dir: str | None = None) -> StudyResult:
     """Run every scenario x replicate, optionally writing study_slopes.csv
     and study_summary.json into out_dir."""
-    tasks = [(s, r) for s in range(len(cfg.scenarios)) for r in range(cfg.replicates)]
-    # The first row builds the shared nulls with ``workers`` threads; the
-    # rest only read them (their ``workers`` goes unread), so they run in
-    # parallel without duplicate work.
-    first = _one_row(cfg, *tasks[0])
-    with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-        rows = (first, *pool.map(lambda task: _one_row(cfg, *task), tasks[1:]))
+    rows = tuple(
+        _one_row(cfg, s, r)
+        for s in range(len(cfg.scenarios))
+        for r in range(cfg.replicates)
+    )
 
     scenarios_summary = []
     for s, scen in enumerate(cfg.scenarios):

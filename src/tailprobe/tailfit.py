@@ -13,10 +13,12 @@ larger late-segment slopes than near-Gaussian infinite-variance inputs, so
 their orderings invert exactly where the verdict matters (confirmed by
 measurement; the estimators here are private).
 
-The three likelihood fits (generalized-Pareto shape, Pareto scale, t
-degrees of freedom) each maximize a one-parameter profile likelihood with
-the same golden-section search, ``_argmax``, over the log of that
-parameter.
+Two likelihoods (Lomax, used twice; t) make the fits, each a
+one-parameter profile maximized by the same golden-section search,
+``_argmax``, over the log of that parameter. The symmetric-Pareto law of
+|x| is a Lomax law, that is, a generalized Pareto law over threshold 0 with
+shape xi = 1/gamma and tau = xi / scale = 1/lam, so ``_lomax_profile``
+serves both the Pareto fit and the peaks-over-threshold shape.
 """
 
 from __future__ import annotations
@@ -77,44 +79,41 @@ def _cf_alpha(x: np.ndarray) -> float:
     return float(min(max(slope, 0.3), 2.0))
 
 
+def _lomax_profile(y: np.ndarray):
+    """Profile log-likelihood of a Lomax sample y >= 0 as a function of
+    u = log(tau), tau = xi / scale: returns (ll, xi) with the shape's closed
+    form xi = mean(log1p(tau y)) and ll = k (u - log xi - xi - 1), or
+    (-inf, xi) when xi <= 0."""
+    k = len(y)
+
+    def prof(u: float) -> tuple[float, float]:
+        xi = float(np.mean(np.log1p(np.exp(u) * y)))
+        if xi <= 0:
+            return -np.inf, xi
+        return k * (u - np.log(xi) - xi - 1.0), xi
+
+    return prof
+
+
 def _gpd_shape(y: np.ndarray) -> float:
     """Profile-likelihood generalized-Pareto shape (xi) of exceedances y > 0:
-    a grid scan over tau = xi / scale, refined by ``_argmax`` over log(tau)
-    within a factor 3 of the best positive grid point."""
+    a grid scan over log(tau), refined by ``_argmax`` within a factor 3 of
+    the best grid point. It never returns a negative shape: 0.0 when the
+    exponential (xi -> 0) fits better than every grid point."""
     y = np.asarray(y, dtype=float)
     y = y[y > 0]
     k = len(y)
     if k < 5:
         return 0.0
-    ymax, ybar = float(y.max()), float(y.mean())
-
-    def prof(tau: float) -> tuple[float, float]:
-        xi = float(np.mean(np.log1p(tau * y)))
-        if xi <= 0:
-            return -np.inf, 0.0
-        return k * (np.log(tau / xi) - xi - 1.0), xi
-
-    taus = np.concatenate(
-        [
-            np.geomspace(1e-6 / ybar, 1e3 / ybar, 60),
-            -np.geomspace(1e-6 / ymax, 0.999 / ymax, 25),
-        ]
-    )
-    best_ll, best_xi, best_tau = -np.inf, 0.0, None
-    for t in taus:
-        if t < 0 and t * ymax <= -1:
-            continue
-        ll, xi = prof(t)
-        if ll > best_ll:
-            best_ll, best_xi, best_tau = ll, xi, t
-    if -k * (np.log(ybar) + 1.0) > best_ll:  # exponential (xi -> 0) wins
+    ybar = float(y.mean())
+    prof = _lomax_profile(y)
+    us = np.linspace(np.log(1e-6 / ybar), np.log(1e3 / ybar), 60)
+    lls = [prof(u)[0] for u in us]
+    best = int(np.argmax(lls))
+    if -k * (np.log(ybar) + 1.0) > lls[best]:  # exponential (xi -> 0) wins
         return 0.0
-    if best_tau is not None and best_tau > 0:
-        log_tau = _argmax(
-            lambda u: prof(np.exp(u))[0], np.log(best_tau / 3.0), np.log(best_tau * 3.0)
-        )
-        best_xi = prof(float(np.exp(log_tau)))[1]
-    return float(best_xi)
+    log3 = np.log(3.0)
+    return prof(_argmax(lambda u: prof(u)[0], us[best] - log3, us[best] + log3))[1]
 
 
 def _tail_shape(x: np.ndarray, frac: float = GPD_TAIL_FRACTION) -> float:
@@ -129,30 +128,19 @@ def _tail_shape(x: np.ndarray, frac: float = GPD_TAIL_FRACTION) -> float:
 
 
 def _fit_sym_pareto(x: np.ndarray) -> SymPareto:
-    """Symmetric-Pareto ML fit of a centred sample. The shape has a closed
-    form given the scale, so ``_argmax`` searches the profile likelihood
-    over log(scale), within a factor 30 of the median |x|."""
+    """Symmetric-Pareto ML fit of a centred sample: ``_argmax`` over
+    log(tau) = -log(scale) of the Lomax profile of |x|, within a factor 30
+    of the median |x|; the shape is 1/xi."""
     a = np.abs(np.asarray(x, dtype=float))
     med = float(median(a))
     if med <= 0:
         med = float(np.mean(a)) or 1.0
-
-    def prof(loglam: float) -> tuple[float, float]:
-        lam = np.exp(loglam)
-        m = float(np.mean(np.log1p(a / lam)))
-        if m <= 0:
-            return -np.inf, np.inf
-        g = 1.0 / m
-        ll = len(a) * (np.log(g) + g * loglam) - (g + 1.0) * float(
-            np.sum(np.log(a + lam))
-        )
-        return ll, g
-
-    loglam = _argmax(lambda u: prof(u)[0], np.log(med / 30.0), np.log(med * 30.0))
-    _, g = prof(loglam)
-    if not np.isfinite(g):
+    prof = _lomax_profile(a)
+    log_tau = _argmax(lambda u: prof(u)[0], -np.log(30.0 * med), np.log(30.0 / med))
+    xi = prof(log_tau)[1]
+    if not (xi > 0 and np.isfinite(1.0 / xi)):
         raise DataError("sample too degenerate for a tail fit")
-    return SymPareto(gamma=g, lam=float(np.exp(loglam)))
+    return SymPareto(gamma=1.0 / xi, lam=float(np.exp(-log_tau)))
 
 
 def _fit_t(x: np.ndarray) -> TLocScale:

@@ -340,6 +340,12 @@ class AnalysisConfig:
         if self.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
 
+    @property
+    def min_samples(self) -> int:
+        """Shortest signal whose spectrogram has the ``_MIN_FRAMES`` frames
+        that ``slope_profile`` needs: the window plus that many hops less one."""
+        return self.spect.window_length + (_MIN_FRAMES - 1) * self.spect.hop
+
 
 # --------------------------------------------------------------------------
 # Time-domain verdict

@@ -197,6 +197,15 @@ def test_simulate_rejects_malformed_scenario(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_simulate_too_short_for_twelve_frames_exits_2_before_any_work(tmp_path, capsys):
+    # No overlap: twelve frames need 500 + 11 * 500 samples.
+    rc = main(["simulate", "--scenario", "stable:2:1", "--n", "1000",
+               "--overlap", "0", "--replicates", "1", "--out-dir", str(tmp_path)])
+    assert rc == 2
+    assert "need >= 6000" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("argv", [
     ["simulate", "--seed", "-1"],
     ["simulate", "--workers", "0"],

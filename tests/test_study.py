@@ -2,6 +2,7 @@
 study loop's outputs, and byte-level reproducibility."""
 
 import json
+import threading
 
 import numpy as np
 import pytest
@@ -86,6 +87,10 @@ def test_study_config_validation():
     for bad in (dict(seed=-1), dict(bootstrap=0), dict(workers=0)):
         with pytest.raises(ConfigError):
             _tiny_config(**bad)
+    # Twelve frames need the window (500) plus 11 hops (26 each).
+    assert _tiny_config(n_samples=786).min_samples == 786
+    with pytest.raises(ConfigError):
+        _tiny_config(n_samples=785)
 
 
 # ---------------------------------------------------------------- the study
@@ -159,6 +164,18 @@ def test_run_study_worker_invariant(tmp_path):
         a = (tmp_path / "w1" / name).read_bytes()
         b = (tmp_path / "w3" / name).read_bytes()
         assert a == b, f"{name} differs across worker counts"
+
+
+def test_run_study_runs_every_row_on_the_calling_thread(monkeypatch):
+    threads = []
+
+    def on_thread(*args, **kwargs):
+        threads.append(threading.get_ident())
+        return assess(*args, **kwargs)
+
+    monkeypatch.setattr(study, "assess", on_thread)
+    run_study(_tiny_config(workers=3))
+    assert threads == [threading.get_ident()] * 6
 
 
 def test_run_study_builds_each_null_once(null_builds):

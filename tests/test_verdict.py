@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import numpy.testing as npt
 import pytest
+from scipy import stats
 
 from tailprobe import (
     AlphaStable,
@@ -34,7 +35,7 @@ from tailprobe import (
     td_verdict,
 )
 from tailprobe import verdict
-from tailprobe.tailfit import _fit_sym_pareto, _fit_t
+from tailprobe.tailfit import _fit_sym_pareto, _fit_t, _gpd_shape, _lomax_profile
 from tailprobe.verdict import (
     STATUS_FALLBACK,
     STATUS_OK,
@@ -230,6 +231,34 @@ def test_tail_fits_are_likelihood_maxima(k):
     s, y2 = t.delta**2, y * y
     residual = s - (t.nu + 1.0) * np.mean(y2 * s / (t.nu * s + y2))
     assert abs(residual) <= 1e-10 * s, scen.name
+
+
+def test_lomax_profile_is_the_symmetric_pareto_likelihood():
+    # The profile of |y| at tau is the log-likelihood of y under the
+    # symmetric Pareto law of shape 1/xi and scale 1/tau, whose density
+    # halves the Lomax density of |y|.
+    x = sample(SymPareto(3.0, 1.0), 10_000, np.random.default_rng(3))
+    y = x - np.median(x)
+    prof = _lomax_profile(np.abs(y))
+    for tau in (0.05, 0.3, 1.0, 4.0, 50.0):
+        ll, xi = prof(np.log(tau))
+        expected = _loglik(SymPareto(1.0 / xi, 1.0 / tau), y) + len(y) * np.log(2.0)
+        assert ll == pytest.approx(expected, rel=1e-10), tau
+
+
+@pytest.mark.parametrize("k", range(len(default_scenarios())))
+def test_gpd_shape_matches_scipy_fit(k):
+    # Exceedances of the top 5% of |x - median| over the next value down.
+    scen = default_scenarios()[k]
+    x = sample(scen.spec, 10_000, np.random.default_rng(k))
+    a = np.sort(np.abs(x - np.median(x)))
+    y = a[-500:] - a[-501]
+    xi_ref = stats.genpareto.fit(y, floc=0)[0]
+    if scen.name == "stable:2:1":  # a light tail: the shape clamps at 0
+        assert xi_ref < 0
+        assert _gpd_shape(y) == 0.0
+    else:
+        assert _gpd_shape(y) == pytest.approx(xi_ref, abs=1e-4), scen.name
 
 
 def test_overflowing_gaussian_is_a_compute_error():
