@@ -45,6 +45,23 @@ class Signal:
 
 
 def _load_csv(path: str, sample_rate_hz: float | None) -> Signal:
+    # One pass at C level over the same lines the loop in _parse_lines reads.
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            values = np.fromiter(map(float, filter(str.strip, fh)), dtype=float)
+        except ValueError:
+            values = None
+    if values is None or not np.isfinite(values).all():
+        values = _parse_lines(path)  # names the first bad line
+    if not len(values):
+        raise DataError(f"{path}: no samples found")
+    fs = DEFAULT_SAMPLE_RATE_HZ if sample_rate_hz is None else float(sample_rate_hz)
+    return Signal(values=values, sample_rate_hz=fs, source=path)
+
+
+def _parse_lines(path: str) -> np.ndarray:
+    """One value per nonblank line; a DataError names the first line that
+    is not a finite number."""
     values = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -60,10 +77,7 @@ def _load_csv(path: str, sample_rate_hz: float | None) -> Signal:
             if not math.isfinite(x):
                 raise DataError(f"{path}: line {lineno}: NaN/Inf value {text!r}")
             values.append(x)
-    if not values:
-        raise DataError(f"{path}: no samples found")
-    fs = DEFAULT_SAMPLE_RATE_HZ if sample_rate_hz is None else float(sample_rate_hz)
-    return Signal(values=np.asarray(values), sample_rate_hz=fs, source=path)
+    return np.asarray(values)
 
 
 _INT_SCALE = {np.dtype(np.int16): 2.0**15, np.dtype(np.int32): 2.0**31}

@@ -14,11 +14,11 @@ their orderings invert exactly where the verdict matters (confirmed by
 measurement; the estimators here are private).
 
 Two likelihoods (Lomax, used twice; t) make the fits, each a
-one-parameter profile maximized by the same golden-section search,
-``_argmax``, over the log of that parameter. The symmetric-Pareto law of
-|x| is a Lomax law, that is, a generalized Pareto law over threshold 0 with
-shape xi = 1/gamma and tau = xi / scale = 1/lam, so ``_lomax_profile``
-serves both the Pareto fit and the peaks-over-threshold shape.
+one-parameter profile maximized by the same Brent search, ``_argmax``,
+over the log of that parameter. The symmetric-Pareto law of |x| is a Lomax
+law, that is, a generalized Pareto law over threshold 0 with shape
+xi = 1/gamma and tau = xi / scale = 1/lam, so ``_lomax_profile`` serves
+both the Pareto fit and the peaks-over-threshold shape.
 """
 
 from __future__ import annotations
@@ -43,25 +43,50 @@ GPD_TAIL_FRACTION = 0.05      # top fraction of |x - median| used for gpd shape
 TFD_FINITE_MIN_INDEX = 4.0    # spectrogram variance finite iff tail index > 4
 TD_FINITE_MIN_INDEX = 2.0     # TD variance finite iff tail index > 2
 
-_INV_PHI = (np.sqrt(5.0) - 1.0) / 2.0  # golden-section ratio
+_CGOLD = (3.0 - 5.0**0.5) / 2.0  # golden-section step, as a bracket fraction
 _BRACKET_TOL = 1e-9  # the search stops once its bracket is narrower than this
+# A backstop: the real profiles take 10-30 evaluations, but an f that is NaN
+# or -inf on part of the bracket gives the parabola nothing to fit.
+_MAX_EVALS = 100
 
 
 def _argmax(f, lo: float, hi: float) -> float:
-    """Golden-section maximizer of a unimodal ``f`` on [lo, hi]. Each step
-    keeps one interior point and its value, so it costs one evaluation."""
-    x1, x2 = hi - _INV_PHI * (hi - lo), lo + _INV_PHI * (hi - lo)
-    f1, f2 = f(x1), f(x2)
-    while hi - lo > _BRACKET_TOL:
-        if f1 < f2:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _INV_PHI * (hi - lo)
-            f2 = f(x2)
+    """Brent's bounded maximizer of a unimodal ``f`` on [lo, hi] (Brent
+    1973, ch. 5): parabolic steps through the three best points, and a
+    golden-section step when a parabola leaves the bracket or shrinks too
+    slowly. NaN reads as -inf; returns the best point seen."""
+    tol = _BRACKET_TOL / 4.0  # the stop below leaves hi - lo <= 4 tol
+    x = w = v = lo + _CGOLD * (hi - lo)
+    fx = fw = fv = max(-np.inf, float(f(x)))  # max(-inf, NaN) is -inf
+    d = e = 0.0
+    for _ in range(_MAX_EVALS - 1):
+        mid = (lo + hi) / 2.0
+        if abs(x - mid) <= 2.0 * tol - (hi - lo) / 2.0:
+            break
+        p = q = 0.0
+        if abs(e) > tol:  # fit a parabola through x, w and v
+            r, q = (x - w) * (fx - fv), (x - v) * (fx - fw)
+            p, q = (x - v) * q - (x - w) * r, 2.0 * (q - r)
+            p, q = (-p, q) if q > 0 else (p, -q)  # q >= 0, vertex at x + p / q
+        if abs(p) < abs(0.5 * q * e) and q * (lo - x) < p < q * (hi - x):
+            e, d = d, p / q
+            if min(x + d - lo, hi - x - d) < 2.0 * tol:
+                d = tol if mid > x else -tol
         else:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _INV_PHI * (hi - lo)
-            f1 = f(x1)
-    return (lo + hi) / 2.0
+            e = (lo if x >= mid else hi) - x
+            d = _CGOLD * e
+        u = x + (d if abs(d) >= tol else (tol if d >= 0 else -tol))
+        fu = max(-np.inf, float(f(u)))
+        if fu >= fx:
+            lo, hi = (x, hi) if u >= x else (lo, x)
+            v, w, x, fv, fw, fx = w, x, u, fw, fx, fu
+        else:
+            lo, hi = (lo, u) if u >= x else (u, hi)
+            if fu >= fw or w == x:
+                v, w, fv, fw = w, u, fw, fu
+            elif fu >= fv or v == x or v == w:
+                v, fv = u, fu
+    return x
 
 
 def _cf_alpha(x: np.ndarray) -> float:
@@ -143,16 +168,38 @@ def _fit_sym_pareto(x: np.ndarray) -> SymPareto:
     return SymPareto(gamma=1.0 / xi, lam=float(np.exp(-log_tau)))
 
 
+def _t_scale2(y2: np.ndarray, nu: float, s: float, s0: float) -> float:
+    """Squared t scale at nu: the root of
+    g(s) = s - (nu + 1) mean(y2 s / (nu s + y2)), by Newton steps from the
+    given start s, or from s0 = mean(y2) when g(s) < 0 there (s below the
+    root). Only the start is checked: near the root g may round negative."""
+    w = y2 / (nu * s + y2)
+    if not (nu + 1.0) * float(np.mean(w)) <= 1.0:  # g(s) < 0, or NaN
+        s, w = s0, y2 / (nu * s0 + y2)
+    while True:
+        # Newton's relative step g(s) / (s g'(s)).
+        step = (1.0 - (nu + 1.0) * float(np.mean(w))) / (
+            1.0 - (nu + 1.0) * float(np.mean(w * w))
+        )
+        s, last = s * (1.0 - step), s
+        # Stop once converged, overflowed (NaN), or unable to move s
+        # (subnormal squares round every small step away).
+        if not (step > 1e-12 and s < last):
+            return s
+        w = y2 / (nu * s + y2)
+
+
 def _fit_t(x: np.ndarray) -> TLocScale:
     """t ML fit of a centred sample y: ``_argmax`` over log(nu) in
     [log 0.6, log 60] of the profile likelihood.
 
     At each nu the squared scale s = delta^2 is the root of
     g(s) = s - (nu + 1) mean(y^2 s / (nu s + y^2)), found by Newton steps
-    from s0 = mean(y^2). g is convex with g(0) = 0 and g'(0) = -nu, and
-    Jensen gives g(s0) >= 0, so the steps descend monotonically onto the
-    root. Raises ComputeError when the fitted scale is not finite (the
-    squares overflow).
+    (``_t_scale2``) from the previous nu's root, or from s0 = mean(y^2)
+    when g is negative there. g is convex with g(0) = 0 and g'(0) = -nu, so
+    g >= 0 at any start at or above the root (Jensen gives g(s0) >= 0), and
+    from there the steps descend monotonically onto the root. Raises
+    ComputeError when the fitted scale is not finite (the squares overflow).
 
     y is first divided by 2^e, e the binary exponent of its RMS: exact, and
     it keeps the squares normal for samples whose squares would be
@@ -162,24 +209,12 @@ def _fit_t(x: np.ndarray) -> TLocScale:
     e = int(np.frexp(np.sqrt(np.mean(np.square(y))))[1])
     y2 = np.square(np.ldexp(y, -e))
     n, s0 = len(y2), float(np.mean(y2))
-
-    def scale2(nu: float) -> float:
-        s = s0
-        while True:
-            w = y2 / (nu * s + y2)
-            # Newton's relative step g(s) / (s g'(s)).
-            step = (1.0 - (nu + 1.0) * float(np.mean(w))) / (
-                1.0 - (nu + 1.0) * float(np.mean(w * w))
-            )
-            s, last = s * (1.0 - step), s
-            # Stop once converged, overflowed (NaN), or unable to move s
-            # (subnormal squares round every small step away).
-            if not (step > 1e-12 and s < last):
-                return s
+    start = s0
 
     def loglik(lognu: float) -> float:
+        nonlocal start
         nu = float(np.exp(lognu))
-        s = scale2(nu)
+        s = start = _t_scale2(y2, nu, start, s0)
         return n * (
             special.gammaln((nu + 1.0) / 2.0)
             - special.gammaln(nu / 2.0)
@@ -187,7 +222,7 @@ def _fit_t(x: np.ndarray) -> TLocScale:
         ) - (nu + 1.0) / 2.0 * float(np.sum(np.log1p(y2 / (nu * s))))
 
     nu = float(np.exp(_argmax(loglik, np.log(0.6), np.log(60.0))))
-    d = np.ldexp(np.sqrt(scale2(nu)), e)
+    d = np.ldexp(np.sqrt(_t_scale2(y2, nu, start, s0)), e)
     if not np.isfinite(d):
         raise ComputeError(f"t fit failed: scale {d} is not finite")
     return TLocScale(nu=nu, delta=float(d))

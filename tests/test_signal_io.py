@@ -67,6 +67,59 @@ def test_csv_empty_rejected(tmp_path):
         load_signal(str(p))
 
 
+def _line_loop(path):
+    """The reference reader: float() on each stripped line of the file."""
+    values = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            text = raw.strip()
+            if not text:
+                continue
+            try:
+                x = float(text)
+            except ValueError:
+                return f"{path}: line {lineno}: not a number: {text!r}"
+            if not np.isfinite(x):
+                return f"{path}: line {lineno}: NaN/Inf value {text!r}"
+            values.append(x)
+    return values or f"{path}: no samples found"
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        "1.0\r\n-2.5\r\n3e-4\r\n",      # CRLF
+        "1.0\r-2.5\r",                  # lone CR
+        "1\n\n2\n\n\n",                 # blank lines, in the middle and at the end
+        "1\n \t\n2\n  \n",              # blank lines of spaces and tabs
+        " 1.5\t\n\t-2 \n  7\n",         # values padded with spaces and tabs
+        "1_000\n2\n",                   # float() accepts underscores
+        "1\n\x0c\n2\n",                 # a form feed alone is a blank line
+        "1.0\nnan\n3\n",                # NaN on line 2
+        "1.0\n\n-inf\n",                # -inf on line 3
+        # Separators inside a line, where str.splitlines would split the
+        # line in two and accept both halves: line 2 is not a number.
+        "1.0\n2.0\x0c3.0\n",            # form feed
+        "1.0\n2.0\u20283.0\n",          # U+2028 line separator
+        "1.0\n2.0\x853.0\n",            # U+0085 next line
+        "1.0\n2.0 3.0\n",               # two values on one line
+        "1.0\n\nbogus\n",               # a word on line 3
+        "\r\n\r\n",                     # no samples
+        "",
+    ],
+)
+def test_csv_fast_path_matches_the_line_loop(tmp_path, content):
+    p = tmp_path / "sig.csv"
+    p.write_bytes(content.encode("utf-8"))
+    expected = _line_loop(str(p))
+    if isinstance(expected, str):
+        with pytest.raises(DataError) as err:
+            load_signal(str(p))
+        assert str(err.value) == expected
+    else:
+        npt.assert_array_equal(load_signal(str(p)).values, expected)
+
+
 # --------------------------------------------------------------------- WAV
 
 def test_wav_int16(tmp_path):
