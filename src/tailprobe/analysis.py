@@ -8,6 +8,7 @@ for a fixed configuration and seed.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -197,6 +198,12 @@ def build_report(result: AnalysisResult, slopes_csv: str, tail_csv: str) -> dict
     return report
 
 
+@functools.lru_cache(maxsize=1)
+def _tail_cells(n: int) -> tuple[str, ...]:
+    """``,{p!r}\\n`` for each tail probability of n values (they depend on n alone)."""
+    return tuple(f",{p!r}\n" for p in empirical_tail(np.zeros(n))[1].tolist())
+
+
 def write_report(result: AnalysisResult, out_path: str) -> dict:
     """Write the JSON report plus the slopes and tail CSVs next to it.
 
@@ -227,10 +234,9 @@ def write_report(result: AnalysisResult, out_path: str) -> dict:
             )
 
     dev = np.abs(result.signal.values - median(result.signal.values))
-    xs, tail_p = empirical_tail(dev)
+    xs, _ = empirical_tail(dev)
     with open(tail_csv, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("abs_deviation,tail_prob\n")
-        rows = zip(map(repr, xs.tolist()), map(repr, tail_p.tolist()))
-        fh.write("\n".join(map(",".join, rows)) + "\n")
+        fh.write("".join(map(str.__add__, map(repr, xs.tolist()), _tail_cells(len(xs)))))
 
     return {"report": out_path, "slopes_csv": slopes_csv, "tail_csv": tail_csv}

@@ -20,32 +20,50 @@ from .errors import ConfigError, DataError
 from .quantiles import median, sorted_median, sorted_quantile
 
 
+def masked_deviations(x: np.ndarray, mask: np.ndarray, count, exact: bool):
+    """Row means of ``x`` over ``mask`` (``count`` values per row) and x
+    minus them, 0 outside ``mask``. Where ``exact`` (x and x - mean finite)
+    the mask multiplies: x * 0 is a signed zero, a sum's term as 0.0 is."""
+    if not exact:
+        mean = np.where(mask, x, 0.0).sum(axis=1) / count
+        return mean, np.where(mask, x - mean[:, None], 0.0)
+    weight = mask.astype(float)  # multiplies faster than a bool mask
+    dev = x * weight
+    mean = dev.sum(axis=1) / count
+    np.subtract(x, mean[:, None], out=dev)
+    dev *= weight
+    return mean, dev
+
+
 def _cond_std_rows(v: np.ndarray, s: np.ndarray, q_lo: float, q_hi: float) -> np.ndarray:
     """``cond_std`` of each row of a C-contiguous 2-D array ``v``, given its
     rows sorted (``s``): NaN where fewer than 2 values lie in the band,
     exactly 0 where the band holds a single distinct value.
 
-    The sort gives the band's bounds and its smallest and largest value
-    (the first sorted value >= the lower bound, the last <= the upper),
-    which decide the single-value case. The sums run over the rows in their
-    given order, along contiguous memory, so a row rounds exactly as the
-    same values passed alone as a 1-row array.
+    The sums run over the rows in their given order, along contiguous
+    memory, so a row rounds exactly as the same values passed alone as a
+    1-row array; they mask by multiplication (``masked_deviations``) while
+    no value exceeds 1e300 / n. The sort gives the band's bounds and, where
+    the std is within 1e-10 of the mean, its smallest and largest value,
+    which decide the single-value case (equal values leave a few ulps).
     """
     lo, hi = sorted_quantile(s, [q_lo, q_hi])
     inner = (v >= lo[:, None]) & (v <= hi[:, None])
     count = np.count_nonzero(inner, axis=1)
+    exact = np.abs(s[:, [0, -1]]).max(initial=0.0) * s.shape[1] < 1e300
     with np.errstate(invalid="ignore", divide="ignore"):
-        mean = np.where(inner, v, 0.0).sum(axis=1) / count
-        dev = np.where(inner, v - mean[:, None], 0.0)
-        std = np.sqrt((dev * dev).sum(axis=1) / (count - 1))
+        mean, dev = masked_deviations(v, inner, count, exact)
+        std = np.sqrt(np.square(dev, out=dev).sum(axis=1) / (count - 1))
+        near = np.flatnonzero(~(std > 1e-10 * np.abs(mean)))
     # Equal values can leave a mean one rounding off them, and with it a
     # spurious std near 1e-17 that would blow normalized values up. The
     # band's values sit at sorted positions [first, first + count); the
     # clips only keep rows with count < 2, set to NaN below, in range.
-    first = np.count_nonzero(s < lo[:, None], axis=1)
-    ends = np.clip(np.stack([first, first + count - 1]), 0, s.shape[1] - 1)
-    band_min, band_max = np.take_along_axis(s, ends.T, axis=1).T
-    std[band_min == band_max] = 0.0
+    if len(near):
+        first = np.count_nonzero(s[near] < lo[near, None], axis=1)
+        ends = np.clip(np.stack([first, first + count[near] - 1]), 0, s.shape[1] - 1)
+        band_min, band_max = np.take_along_axis(s[near], ends.T, axis=1).T
+        std[near[band_min == band_max]] = 0.0
     std[count < 2] = np.nan
     return std
 
@@ -81,7 +99,9 @@ def normalize_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     s = np.sort(v, axis=1)
     scale = _cond_std_rows(v, s, 0.1, 0.9)
     kept = scale > 0
-    z = (v[kept] - sorted_median(s[kept])[:, None]) / scale[kept, None]
+    rows = slice(None) if kept.all() else kept  # a slice takes no copy
+    z = v[rows] - sorted_median(s)[rows, None]
+    z /= scale[rows, None]
     return z, scale
 
 

@@ -91,7 +91,8 @@ def last_long_segment(
 
 
 def fit_slope(trace_values, segment: tuple[int, int]) -> float:
-    """OLS slope of trace values over 1-based positions [start, end)."""
+    """OLS slope of trace values over 1-based positions [start, end);
+    DataError where it is not finite."""
     c = np.asarray(trace_values, dtype=float)
     start, end = int(segment[0]), int(segment[1])
     if not 1 <= start < end <= len(c) + 1:
@@ -104,4 +105,7 @@ def fit_slope(trace_values, segment: tuple[int, int]) -> float:
         )
     k = np.arange(start, end, dtype=float)
     y = c[start - 1 : end - 1]
-    return float(np.polyfit(k, y, 1)[0])
+    slope = float(np.polyfit(k, y, 1)[0])
+    if not np.isfinite(slope):
+        raise DataError(f"slope over [{start}, {end}) is not finite")
+    return slope

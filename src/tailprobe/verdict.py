@@ -12,7 +12,8 @@ Decision layers, from raw signal to category:
    median: one sort of each row's values gives the normalization both its
    median and the 10-90% band of its conditional std, and one sort of the
    increments gives both the median of the positive ones and the quartiles
-   behind the jump threshold.
+   behind the jump threshold. Masked sums multiply by their mask where that
+   is exact, and only near-constant rows read their band's extremes (ecfm).
    Thresholds for these statistics are calibrated as high quantiles of a
    Gaussian null simulated at the same length and configuration.
 
@@ -49,7 +50,7 @@ import numpy as np
 from scipy import special
 
 from .distributions import CHI2_NULL, TD_CALIBRATION, TFD_CALIBRATION, stream
-from .ecfm import normalize_rows
+from .ecfm import masked_deviations, normalize_rows
 from .errors import ComputeError, ConfigError, DataError
 from .gof import clean_sample, gauss_ks
 from .quantiles import iqr, median, quantile, sorted_quantile
@@ -134,8 +135,8 @@ def _last_segment_slopes(
     Each step matches its public counterpart (``normalize``, ``ecfm``,
     ``detect_jumps``, ``segments_between_jumps``, ``last_long_segment``,
     ``fit_slope``) column by column. Returns (slopes, status); columns too
-    short for jump detection (n < 11), with zero conditional std, or whose
-    chosen segment is shorter than 3 get STATUS_SKIPPED and a NaN slope.
+    short for jump detection (n < 11), with zero conditional std, a chosen
+    segment shorter than 3 or a slope not finite get STATUS_SKIPPED, NaN.
     """
     # One row per series: every reduction then runs along contiguous memory
     # and rounds exactly as the 1-D functions do, so traces and jump
@@ -153,9 +154,12 @@ def _last_segment_slopes(
     if len(kept) == 0:
         return slopes, status
 
-    dev2 = (z - z.mean(axis=1, keepdims=True)) ** 2
+    z -= z.mean(axis=1, keepdims=True)  # in place: normalize_rows' own array
+    z *= z
+    z *= z
+    trace = np.cumsum(z, axis=1, out=z)
     positions = np.arange(1, n + 1)
-    trace = np.cumsum(dev2 * dev2, axis=1) / positions.astype(float)
+    trace /= positions.astype(float)
     d = np.diff(trace, axis=1)
 
     # Jump threshold per row: median of the positive increments (the last
@@ -179,7 +183,7 @@ def _last_segment_slopes(
     is_start = np.zeros(z.shape, dtype=bool)
     is_start[:, :-1] = d > threshold[:, None]
     is_start[:, 0] = True
-    row, col = np.nonzero(is_start)
+    row, col = np.divmod(np.flatnonzero(is_start), n)
     seg_start = col + 1
     row_change = row[1:] != row[:-1]
     seg_end = np.where(np.append(row_change, True), n + 1, np.roll(seg_start, -1))
@@ -200,16 +204,21 @@ def _last_segment_slopes(
         end = np.where(found, end, n + 1)
 
     # Centred OLS over [start, end): sum (k - kbar)^2 = L (L^2 - 1) / 12.
-    fit = np.flatnonzero(end - start >= 3)
+    fit = slice(None) if np.all(end - start >= 3) else np.flatnonzero(end - start >= 3)
     start, end, trace = start[fit], end[fit], trace[fit]
     length = (end - start).astype(float)
-    in_seg = (positions >= start[:, None]) & (positions < end[:, None])
-    mean = np.where(in_seg, trace, 0.0).sum(axis=1) / length
     k_centred = positions - (start + end - 1)[:, None] / 2.0
-    sxy = np.where(in_seg, k_centred * (trace - mean[:, None]), 0.0).sum(axis=1)
-    done = kept[fit]
-    slopes[done] = sxy / (length * (length * length - 1.0) / 12.0)
-    status[done] = np.where(found[fit], STATUS_OK, STATUS_FALLBACK)
+    # start <= k < end, exactly: both sides are integers or half-integers
+    in_seg = np.abs(k_centred) <= ((length - 1.0) / 2.0)[:, None]
+    # |k (C(k) - mean)| <= n^2 C(n): C is the running mean of a rising sum
+    exact = trace[:, -1].max(initial=0.0) * n * n < 1e300
+    _, terms = masked_deviations(trace, in_seg, length, exact)
+    terms *= k_centred
+    slope = terms.sum(axis=1) / (length * (length * length - 1.0) / 12.0)
+    good = np.isfinite(slope)  # not so where an input or C(k) is infinite
+    done = kept[fit][good]
+    slopes[done] = slope[good]
+    status[done] = np.where(found[fit][good], STATUS_OK, STATUS_FALLBACK)
     return slopes, status
 
 
@@ -234,10 +243,11 @@ def slope_profile(
             f"{spec.n_frames} frames is too few for segmentation (need >= {_MIN_FRAMES})"
         )
     idx = band_bin_indices(spec.freqs_hz, band)
-    slopes, status = _last_segment_slopes(spec.values[:, idx], seg_cfg)
+    band_bins = slice(idx[0], idx[-1] + 1)  # ascending bins: one run, a view
+    slopes, status = _last_segment_slopes(spec.values[:, band_bins], seg_cfg)
     if np.all(status == STATUS_SKIPPED):
         raise DataError("all bins in the band are degenerate")
-    freqs = spec.freqs_hz[idx]
+    freqs = spec.freqs_hz[band_bins]
     resolved = (float(freqs[0]), float(freqs[-1]))
     return SlopeProfile(freqs_hz=freqs, slopes=slopes, status=status, band=resolved)
 

@@ -17,6 +17,7 @@ from tailprobe import (
     Signal,
     analyze,
     build_report,
+    empirical_tail,
     load_signal,
     write_report,
 )
@@ -158,3 +159,19 @@ def test_csv_side_files_have_expected_shape(tmp_path, monkeypatch):
     tail = open(paths["tail_csv"], encoding="utf-8").read().splitlines()
     assert tail[0] == "abs_deviation,tail_prob"
     assert len(tail) == 1 + 6000
+
+
+def test_tail_csv_of_alternating_lengths_matches_the_uncached_join(tmp_path):
+    # the probability cells are cached for one length at a time
+    cfg = AnalysisConfig(bootstrap=30, calibration_replicates=20, seed=7)
+    rng = np.random.default_rng(4)
+    results = [analyze(Signal(values=rng.standard_t(3, size=n), sample_rate_hz=8000.0), cfg)
+               for n in (2000, 1500)]
+    for i, res in enumerate(results * 2):
+        paths = write_report(res, str(tmp_path / f"rep{i}.json"))
+        values = res.signal.values
+        xs, tail_p = empirical_tail(np.abs(values - np.median(values)))
+        rows = zip(map(repr, xs.tolist()), map(repr, tail_p.tolist()))
+        want = "abs_deviation,tail_prob\n" + "\n".join(map(",".join, rows)) + "\n"
+        with open(paths["tail_csv"], encoding="utf-8") as fh:
+            assert fh.read() == want

@@ -9,16 +9,20 @@ moves the column's trace by its largest value over the whole column,
 because the kernel's centred OLS and polyfit round differently.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tailprobe import (
+    ComputeError,
     ConfigError,
     DataError,
     SegmentationConfig,
     SpectrogramConfig,
+    cond_std,
     default_scenarios,
     detect_jumps,
     ecfm,
@@ -197,3 +201,83 @@ seg_configs = st.builds(
 @given(columns=matrices(), cfg=seg_configs)
 def test_kernel_matches_reference_on_drawn_matrices(columns, cfg):
     assert_matches_reference(columns, cfg)
+
+
+# ------------------------------------------------- both mask forms
+#
+# The kernel's masked sums multiply by the mask where every term is finite
+# and take np.where otherwise; both must give the same bits.
+
+def _band_matrix(scenario):
+    x = sample(scenario.spec, 10_000, np.random.default_rng(3))
+    spec = spectrogram(x, SpectrogramConfig())
+    return spec.values[:, band_bin_indices(spec.freqs_hz, None)]
+
+
+def _assert_same_bits(a, b):
+    assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+@pytest.mark.parametrize("scenario", default_scenarios(), ids=lambda s: s.name)
+def test_kernel_columns_alone_match_the_matrix(scenario):
+    columns = _band_matrix(scenario)
+    cfg = SegmentationConfig()
+    slopes, status = _last_segment_slopes(columns, cfg)
+    for j in range(columns.shape[1]):
+        alone = _last_segment_slopes(columns[:, [j]], cfg)
+        _assert_same_bits(alone[0], slopes[j:j + 1])
+        _assert_same_bits(alone[1], status[j:j + 1])
+
+
+@pytest.mark.parametrize("scenario", default_scenarios()[::4], ids=lambda s: s.name)
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_a_non_finite_column_leaves_the_others_bit_identical(scenario, bad):
+    columns = _band_matrix(scenario)
+    cfg = SegmentationConfig()
+    slopes, status = _last_segment_slopes(columns, cfg)
+    extra = columns[:, :1].copy()
+    extra[len(extra) // 2] = bad
+    with np.errstate(all="ignore"):
+        both = _last_segment_slopes(np.hstack([columns, extra]), cfg)
+    _assert_same_bits(both[0][:-1], slopes)
+    _assert_same_bits(both[1][:-1], status)
+    assert both[1][-1] == STATUS_SKIPPED and np.isnan(both[0][-1])
+    if not np.isnan(bad):  # one infinity lies outside the 10-90% band
+        assert np.isfinite(cond_std(extra[:, 0]))
+
+
+def test_values_near_overflow_take_the_where_form():
+    # Finite values whose band sum overflows: the std is infinite, not NaN.
+    columns = _band_matrix(default_scenarios()[0])
+    huge = columns.copy()
+    huge[:, 6] = 1e307 * (1.0 + 1e-3 * columns[:, 6])
+    with np.errstate(all="ignore"), pytest.raises(ComputeError, match="overflow"):
+        _last_segment_slopes(huge, SegmentationConfig())
+    # A finite trace whose masked OLS terms k (C(k) - mean) would overflow:
+    # an early spike raises the trace before the chosen segment.
+    x = np.random.default_rng(0).standard_normal(558)
+    x[33], x[413] = 6e76, -6e76
+    with np.errstate(all="ignore"):
+        status = assert_matches_reference(x[:, None], SegmentationConfig())
+    assert status[0] == STATUS_OK
+
+
+def test_power_whose_squares_overflow_raises():
+    columns = _band_matrix(default_scenarios()[0])
+    with np.errstate(all="ignore"), pytest.raises(ComputeError, match="squares overflow"):
+        _last_segment_slopes(columns * 1e155, SegmentationConfig())
+
+
+def test_an_infinite_power_gives_a_skipped_bin_not_a_nan_slope():
+    spec = spectrogram(np.random.default_rng(1).standard_normal(10_000),
+                       SpectrogramConfig())
+    values = spec.values.copy()
+    values[100, 200] = np.inf
+    with np.errstate(all="ignore"):
+        prof = slope_profile(replace(spec, values=values))
+        want = reference(values[:, 200], SegmentationConfig())
+    j = int(np.flatnonzero(prof.freqs_hz == spec.freqs_hz[200])[0])
+    assert prof.status[j] == want[1] == STATUS_SKIPPED
+    assert np.isnan(prof.slopes[j])
+    assert prof.n_skipped == 1
+    assert np.isfinite(prof.median_abs)
