@@ -13,7 +13,8 @@ flag takes a comma-separated list, e.g.::
     band = 4500:9000
     scenario = stable:2:1, t:3:1
 
-Exit codes: 0 success, 2 configuration error, 3 data error, 4 compute error.
+Exit codes: 0 success, 2 configuration error (an unwritable output path
+included), 3 data error (an unreadable input included), 4 compute error.
 """
 
 from __future__ import annotations
@@ -116,7 +117,7 @@ def _read_config_file(path: str) -> dict[str, str]:
                         f"{path}: line {lineno}: expected 'key = value', got {line!r}"
                     )
                 out[key.strip()] = value.strip()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     return out
 
@@ -282,6 +283,9 @@ def main(argv=None) -> int:
     except (np.linalg.LinAlgError, FloatingPointError, OverflowError) as exc:
         print(f"error: numerical failure: {exc}", file=sys.stderr)
         return ComputeError.exit_code
+    except OSError as exc:  # an output path; input-side ones are DataErrors
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return ConfigError.exit_code
 
 
 if __name__ == "__main__":

@@ -10,6 +10,7 @@ package default is 25 kHz).
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,8 +34,9 @@ class Signal:
             raise DataError(f"signal must be a nonempty 1-D array, got shape {v.shape}")
         bad = np.flatnonzero(~np.isfinite(v))
         if len(bad):
+            where = f"{self.source}:" if self.source else "signal contains"
             raise DataError(
-                f"signal contains NaN/Inf at sample index {int(bad[0])} "
+                f"{where} NaN/Inf at sample index {int(bad[0])} "
                 f"({len(bad)} bad values total)"
             )
         fs = float(self.sample_rate_hz)
@@ -86,7 +88,7 @@ _INT_SCALE = {np.dtype(np.int16): 2.0**15, np.dtype(np.int32): 2.0**31}
 def _load_wav(path: str, sample_rate_hz: float | None) -> Signal:
     try:
         rate, data = wavfile.read(path)
-    except ValueError as exc:
+    except (ValueError, struct.error) as exc:  # struct: a header cut short
         raise DataError(f"{path}: unreadable WAV file: {exc}") from exc
     if sample_rate_hz is not None and float(sample_rate_hz) != float(rate):
         raise ConfigError(
@@ -103,12 +105,6 @@ def _load_wav(path: str, sample_rate_hz: float | None) -> Signal:
         values = data.astype(np.float64)
     else:
         raise DataError(f"{path}: unsupported WAV sample format {data.dtype}")
-    bad = np.flatnonzero(~np.isfinite(values))
-    if len(bad):
-        raise DataError(
-            f"{path}: NaN/Inf at sample index {int(bad[0])} "
-            f"({len(bad)} bad values total)"
-        )
     return Signal(values=values, sample_rate_hz=float(rate), source=path)
 
 
@@ -120,6 +116,6 @@ def load_signal(path: str, sample_rate_hz: float | None = None) -> Signal:
             return _load_csv(path, sample_rate_hz)
         if lower.endswith(".wav"):
             return _load_wav(path, sample_rate_hz)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     raise ConfigError(f"unsupported input format: {path} (use .csv, .txt, or .wav)")

@@ -234,16 +234,17 @@ class TailEvidence:
 
     alpha_cf: float
     gpd_xi: float
-    pareto_gamma: float
-    pareto_lam: float
-    pareto_ks: float
-    t_nu: float
-    t_delta: float
-    t_ks: float
     gauss_ks: float
     accepted_family: str  # "gaussian" | "pareto" | "t" | "none"
     td_finite: bool
     tfd_finite: bool
+    # The family fits; NaN in the Gaussian regime, which skips them.
+    pareto_gamma: float = np.nan
+    pareto_lam: float = np.nan
+    pareto_ks: float = np.nan
+    t_nu: float = np.nan
+    t_delta: float = np.nan
+    t_ks: float = np.nan
 
 
 def tail_evidence(values: np.ndarray) -> TailEvidence:
@@ -259,20 +260,8 @@ def tail_evidence(values: np.ndarray) -> TailEvidence:
     xi = _tail_shape(x)
     gauss = gauss_ks(x)
     if alpha >= ALPHA_GAUSSIAN_GATE:
-        return TailEvidence(
-            alpha_cf=alpha,
-            gpd_xi=xi,
-            pareto_gamma=np.nan,
-            pareto_lam=np.nan,
-            pareto_ks=np.nan,
-            t_nu=np.nan,
-            t_delta=np.nan,
-            t_ks=np.nan,
-            gauss_ks=gauss,
-            accepted_family="gaussian",
-            td_finite=True,
-            tfd_finite=True,
-        )
+        return TailEvidence(alpha_cf=alpha, gpd_xi=xi, gauss_ks=gauss,
+                            accepted_family="gaussian", td_finite=True, tfd_finite=True)
     pareto = _fit_sym_pareto(x)
     pareto_ks = ks_stat(x, pareto)
     t_fit = _fit_t(x)
@@ -292,14 +281,14 @@ def tail_evidence(values: np.ndarray) -> TailEvidence:
     return TailEvidence(
         alpha_cf=alpha,
         gpd_xi=xi,
+        gauss_ks=gauss,
+        accepted_family=family,
+        td_finite=td,
+        tfd_finite=tfd,
         pareto_gamma=pareto.gamma,
         pareto_lam=pareto.lam,
         pareto_ks=pareto_ks,
         t_nu=t_fit.nu,
         t_delta=t_fit.delta,
         t_ks=t_ks,
-        gauss_ks=gauss,
-        accepted_family=family,
-        td_finite=td,
-        tfd_finite=tfd,
     )

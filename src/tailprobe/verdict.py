@@ -34,11 +34,11 @@ Decision layers, from raw signal to category:
    p-value; they count in neither the median nor the fraction below 0.05.
 
 The Monte-Carlo nulls (both slope thresholds and the chi2 pipeline null)
-live in one table, each keyed on the full configuration that sets it and
-never on ``workers``. Replicate i of a null draws from
-``distributions.stream(seed, id, i)``, with one stream id per null, so
-verdicts are byte-identical across runs and worker counts and no two draws
-share a bitstream.
+live in one table, each keyed on its tag and its builder's arguments, which
+are every value that sets it and never ``workers``. Replicate i of a null
+draws from ``distributions.stream(seed, id, i)``, with one stream id per
+null, so verdicts are byte-identical across runs and worker counts and no
+two draws share a bitstream.
 """
 
 from __future__ import annotations
@@ -266,15 +266,16 @@ def _gaussian_stats(stat, n: int, count: int, seed: int, stream_id: int,
         return np.asarray(list(pool.map(one, range(count))))
 
 
-# The memoized Monte-Carlo nulls. A key is a tuple: the table's tag ("tfd",
-# "td", "chi2"), then every value that sets the table.
+# The memoized Monte-Carlo nulls, keyed (tag, *args): the table's tag
+# ("tfd", "td", "chi2"), then its builder's positional arguments.
 _NULLS: dict = {}
 
 
-def _memo(key: tuple, build):
-    """The table stored under ``key``, built by ``build()`` on first use."""
+def _memo(tag: str, build, *args, workers: int):
+    """``build(*args, workers=workers)``, built on first use of (tag, *args)."""
+    key = (tag, *args)
     if key not in _NULLS:
-        _NULLS[key] = build()
+        _NULLS[key] = build(*args, workers=workers)
     return _NULLS[key]
 
 
@@ -285,6 +286,18 @@ def clear_caches() -> None:
     _NULLS.clear()
 
 
+NULL_QUANTILE = 0.99  # the slope thresholds' quantile of their Gaussian null
+
+
+def _null_quantile(stat, n: int, replicates: int, seed: int, stream_id: int,
+                   workers: int) -> float:
+    """``NULL_QUANTILE`` of ``stat`` over ``replicates`` Gaussian draws."""
+    if replicates < 20:
+        raise ConfigError(f"calibration needs >= 20 replicates, got {replicates}")
+    stats = _gaussian_stats(stat, n, replicates, seed, stream_id, workers)
+    return float(quantile(stats, NULL_QUANTILE))
+
+
 def calibrate_threshold(
     n_samples: int,
     spect_cfg: SpectrogramConfig,
@@ -292,19 +305,15 @@ def calibrate_threshold(
     seg_cfg: SegmentationConfig = SegmentationConfig(),
     replicates: int = 100,
     seed: int = 0,
-    quantile_level: float = 0.99,
     workers: int = 1,
 ) -> float:
     """Gaussian-null threshold for the band median |slope|: simulate white
     Gaussian signals of the given length, take each replicate's median
-    absolute bin slope, and return the requested high quantile."""
-    if replicates < 20:
-        raise ConfigError(f"calibration needs >= 20 replicates, got {replicates}")
-    medians = _gaussian_stats(
+    absolute bin slope, and return their ``NULL_QUANTILE``."""
+    return _null_quantile(
         lambda z: slope_profile(spectrogram(z, spect_cfg), band, seg_cfg).median_abs,
         n_samples, replicates, seed, TFD_CALIBRATION, workers,
     )
-    return float(quantile(medians, quantile_level))
 
 
 def calibrate_td_threshold(
@@ -312,17 +321,13 @@ def calibrate_td_threshold(
     seg_cfg: SegmentationConfig = SegmentationConfig(),
     replicates: int = 100,
     seed: int = 0,
-    quantile_level: float = 0.99,
     workers: int = 1,
 ) -> float:
     """Gaussian-null threshold for the time-domain last-segment |slope|."""
-    if replicates < 20:
-        raise ConfigError(f"calibration needs >= 20 replicates, got {replicates}")
-    stats = _gaussian_stats(
+    return _null_quantile(
         lambda z: abs(_td_slope(z, seg_cfg)[0]),
         n_samples, replicates, seed, TD_CALIBRATION, workers,
     )
-    return float(quantile(stats, quantile_level))
 
 
 # --------------------------------------------------------------------------
@@ -386,14 +391,8 @@ def td_verdict(values, cfg: AnalysisConfig = AnalysisConfig()) -> TdVerdict:
     if len(x) < 20:
         raise DataError(f"need a 1-D signal of length >= 20, got shape {x.shape}")
     slope, used_fallback = _td_slope(x, cfg.seg)
-    n = len(x)
-    threshold = _memo(
-        ("td", n, cfg.seg, cfg.calibration_replicates, cfg.seed),
-        lambda: calibrate_td_threshold(
-            n, cfg.seg, replicates=cfg.calibration_replicates, seed=cfg.seed,
-            workers=cfg.workers,
-        ),
-    )
+    threshold = _memo("td", calibrate_td_threshold, len(x), cfg.seg,
+                      cfg.calibration_replicates, cfg.seed, workers=cfg.workers)
     evidence = tail_evidence(x)
     return TdVerdict(
         finite=evidence.td_finite,
@@ -449,17 +448,12 @@ def _bin_ks_stats(power: np.ndarray) -> np.ndarray:
     fk = special.gammainc(a[:, None], x[:, knots])
     best = terms(fk, knots).max(axis=1)
     bound = np.maximum(fk[:, 1:] - (knots[:-1] + 1) / nt, knots[1:] / nt - fk[:, :-1])
-    # Surviving blocks in bin order; each expands to its interior indices.
+    # Surviving blocks, each as its stride - 1 interior indices; a short last
+    # block repeats the last knot, which ``best`` already holds.
     row, block = np.nonzero(bound + _KS_SLACK > best[:, None])
-    count = np.diff(knots)[block] - 1
-    rows = np.repeat(row, count)
-    if len(rows):
-        within = np.arange(len(rows)) - np.repeat(np.cumsum(count) - count, count)
-        j = np.repeat(knots[block] + 1, count) + within
-        t = terms(special.gammainc(a[rows], x[rows, j]), j)
-        first = np.flatnonzero(np.append(True, rows[1:] != rows[:-1]))
-        hit = rows[first]
-        best[hit] = np.maximum(best[hit], np.maximum.reduceat(t, first))
+    j = np.minimum(knots[block, None] + np.arange(1, _KS_KNOT_STRIDE), nt - 1)
+    t = terms(special.gammainc(a[row, None], x[row[:, None], j]), j)
+    np.maximum.at(best, row, t.max(axis=1))
     ks[valid] = best
     return ks
 
@@ -513,18 +507,13 @@ def chi2_evidence(
     ``TD_GAUSSIAN_KS_MAX``. Real-valued (DC, Nyquist) and degenerate bins get
     p = NaN and do not count in the median or the fraction. The null is
     built for ``spec.config``, the configuration that made ``spec``."""
-    n = len(values)
     idx = band_bin_indices(spec.freqs_hz, cfg.band)
     ks = _bin_ks_stats(spec.values[:, idx])
     valid = np.isfinite(ks) & _complex_bins(idx, spec.config.nfft)
     if not np.any(valid):
         raise DataError("all complex-valued bins in the band are degenerate")
-    null = _memo(
-        ("chi2", n, spec.config, cfg.band, cfg.bootstrap, cfg.seed),
-        lambda: _pipeline_null_ks(
-            n, spec.config, cfg.band, cfg.bootstrap, cfg.seed, cfg.workers
-        ),
-    )
+    null = _memo("chi2", _pipeline_null_ks, len(values), spec.config, cfg.band,
+                 cfg.bootstrap, cfg.seed, workers=cfg.workers)
     p = np.full(len(idx), np.nan)
     exceed = len(null) - np.searchsorted(null, ks[valid], side="left")
     p[valid] = (1.0 + exceed) / (len(null) + 1.0)
@@ -587,14 +576,9 @@ def assess(values, cfg: AnalysisConfig = AnalysisConfig()) -> VarianceVerdict:
     x = clean_sample(values)
     spec = spectrogram(x, cfg.spect)
     profile = slope_profile(spec, cfg.band, cfg.seg)
-    tfd_threshold = _memo(
-        ("tfd", len(x), cfg.spect, cfg.band, cfg.seg, cfg.calibration_replicates,
-         cfg.seed),
-        lambda: calibrate_threshold(
-            len(x), cfg.spect, cfg.band, cfg.seg,
-            replicates=cfg.calibration_replicates, seed=cfg.seed, workers=cfg.workers,
-        ),
-    )
+    tfd_threshold = _memo("tfd", calibrate_threshold, len(x), cfg.spect, cfg.band,
+                          cfg.seg, cfg.calibration_replicates, cfg.seed,
+                          workers=cfg.workers)
     td = td_verdict(x, cfg)
     chi2 = chi2_evidence(x, spec, cfg)
     category, warnings = classify(td.finite, td.evidence.tfd_finite, chi2.passed)

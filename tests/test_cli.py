@@ -13,6 +13,7 @@ import re
 
 import numpy as np
 import pytest
+from scipy.io import wavfile
 
 from tailprobe.cli import build_parser, main
 
@@ -220,6 +221,38 @@ def test_bad_seed_or_worker_count_exits_2(tmp_path, capsys, argv):
         "--out-dir", str(tmp_path)]
     assert main(argv + extra) == 2
     assert "error:" in capsys.readouterr().err
+
+
+_SIM_FLAGS = ["--scenario", "stable:2:1", "--n", "4000", "--replicates", "2",
+              "--bootstrap", str(BOOT), "--calibration-replicates", str(CAL),
+              "--seed", str(SEED)]
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["analyze", "--input", "bad.csv"], 3),  # a byte that is not UTF-8
+    (["analyze", "--input", "cut.wav"], 3),  # cut off inside the RIFF header
+    (["analyze", "--input", "cut30.wav"], 3),  # cut off inside the fmt chunk
+    (["analyze", "--input", "sig.csv", "--config", "bad.cfg"], 2),
+    (["analyze", "--input", "sig.csv", "--out", "F/r.json"] + ANALYZE_FLAGS, 2),
+    (["spectrogram", "--input", "sig.csv", "--out", "F/s.csv"], 2),
+    (["simulate", "--out-dir", "F/d"] + _SIM_FLAGS, 2),
+], ids=["csv-not-utf8", "wav-riff-cut", "wav-fmt-cut", "config-not-utf8",
+        "analyze-out-under-file", "spectrogram-out-under-file",
+        "simulate-out-dir-under-file"])
+def test_unreadable_input_or_unwritable_output_exits_with_an_error_line(
+        tmp_path, monkeypatch, capsys, argv, code):
+    monkeypatch.chdir(tmp_path)
+    _write_gaussian_csv(tmp_path / "sig.csv")
+    (tmp_path / "bad.csv").write_bytes(b"1.0\n2.0\n\xff\n")
+    (tmp_path / "bad.cfg").write_bytes(b"seed = 1\n\xff\n")
+    (tmp_path / "cut.wav").write_bytes(b"RIFF\x00\x00")
+    wavfile.write(str(tmp_path / "ok.wav"), 8000, np.zeros(100, dtype=np.int16))
+    (tmp_path / "cut30.wav").write_bytes((tmp_path / "ok.wav").read_bytes()[:30])
+    (tmp_path / "F").write_text("a file, not a directory\n")
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert err.count("\n") == 1  # one line, no traceback
 
 
 def test_config_file_precedence(tmp_path, monkeypatch, capsys):

@@ -214,6 +214,29 @@ def test_wav_garbage_rejected(tmp_path):
         load_signal(str(p))
 
 
+def test_wav_nan_error_names_the_file(tmp_path):
+    p = tmp_path / "bad.wav"
+    wavfile.write(str(p), 8000, np.array([0.5, 0.25, np.inf], dtype=np.float32))
+    with pytest.raises(DataError, match=r"bad\.wav: NaN/Inf at sample index 2"):
+        load_signal(str(p))
+
+
+@pytest.mark.parametrize("cut", [6, 30])  # inside the RIFF header, the fmt chunk
+def test_wav_cut_off_in_its_header_rejected(tmp_path, cut):
+    whole, p = tmp_path / "whole.wav", tmp_path / "cut.wav"
+    wavfile.write(str(whole), 8000, np.zeros(100, dtype=np.int16))
+    p.write_bytes(whole.read_bytes()[:cut])
+    with pytest.raises(DataError, match="unreadable WAV file"):
+        load_signal(str(p))
+
+
+def test_csv_not_utf8_rejected(tmp_path):
+    p = tmp_path / "sig.csv"
+    p.write_bytes(b"1.0\n2.0\n\xff\n")
+    with pytest.raises(DataError, match="cannot read"):
+        load_signal(str(p))
+
+
 # ------------------------------------------------------------------ routing
 
 def test_missing_file(tmp_path):

@@ -195,7 +195,8 @@ def test_tail_evidence_known_families():
 def test_tail_evidence_gaussian_gate_shortcircuits_fits():
     ev = tail_evidence(sample(AlphaStable(2.0, 1.0), 10_000, np.random.default_rng(11)))
     assert ev.alpha_cf >= 1.955
-    assert np.isnan(ev.pareto_gamma) and np.isnan(ev.t_nu)
+    fits = ("pareto_gamma", "pareto_lam", "pareto_ks", "t_nu", "t_delta", "t_ks")
+    assert all(np.isnan(getattr(ev, name)) for name in fits)
 
 
 def test_tail_evidence_index_estimates_are_close():
@@ -512,3 +513,18 @@ def test_assess_builds_each_null_once_for_any_worker_count(null_builds):
     clear_caches()
     assess(rng.standard_normal(N), replace(SMALL, workers=3))
     assert null_builds == {name: [1, 3] for name in null_builds}
+
+
+def test_null_keys_are_the_tag_and_the_builders_arguments():
+    clear_caches()
+    rng = np.random.default_rng(103)
+    assess(rng.standard_normal(N), SMALL)
+    seg = SMALL.seg
+    first = {
+        ("tfd", N, CFG, None, seg, CAL, SEED),
+        ("td", N, seg, CAL, SEED),
+        ("chi2", N, CFG, None, BOOT, SEED),
+    }
+    assert set(verdict._NULLS) == first
+    assess(rng.standard_normal(N), replace(SMALL, bootstrap=BOOT + 1))
+    assert set(verdict._NULLS) == first | {("chi2", N, CFG, None, BOOT + 1, SEED)}
