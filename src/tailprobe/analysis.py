@@ -199,9 +199,9 @@ def build_report(result: AnalysisResult, slopes_csv: str, tail_csv: str) -> dict
 
 
 @functools.lru_cache(maxsize=1)
-def _tail_cells(n: int) -> tuple[str, ...]:
-    """``,{p!r}\\n`` for each tail probability of n values (they depend on n alone)."""
-    return tuple(f",{p!r}\n" for p in empirical_tail(np.zeros(n))[1].tolist())
+def _tail_cells(n: int) -> str:
+    """The tail CSV body of n values as a template: ``%r,{p!r}\\n`` per tail p."""
+    return "".join(f"%r,{p!r}\n" for p in empirical_tail(np.zeros(n))[1].tolist())
 
 
 def write_report(result: AnalysisResult, out_path: str) -> dict:
@@ -237,6 +237,6 @@ def write_report(result: AnalysisResult, out_path: str) -> dict:
     xs, _ = empirical_tail(dev)
     with open(tail_csv, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("abs_deviation,tail_prob\n")
-        fh.write("".join(map(str.__add__, map(repr, xs.tolist()), _tail_cells(len(xs)))))
+        fh.write(_tail_cells(len(xs)) % tuple(xs.tolist()))
 
     return {"report": out_path, "slopes_csv": slopes_csv, "tail_csv": tail_csv}

@@ -2,6 +2,8 @@
 
 The KS statistic is evaluated exactly at the jump points of the empirical
 CDF: max over order statistics of max(F(x_(i)) - (i-1)/n, i/n - F(x_(i))).
+One kernel, ``knot_ks``, serves the fitted families and the spectrogram
+bins' laws alike, evaluating the CDF only where the maximum can lie.
 
 Because families are fitted to the sample before testing, asymptotic KS
 p-values are invalid; ``ks_pvalue_mc`` instead draws replicates from the
@@ -14,6 +16,7 @@ handled by the pipeline-matched null in the verdict layer.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isqrt
 
 import numpy as np
 
@@ -53,13 +56,40 @@ def empirical_tail(values) -> tuple[np.ndarray, np.ndarray]:
     return v, 1.0 - (np.arange(1, n + 1) - 0.5) / n
 
 
+_KS_SLACK = 1e-12  # margin in case a CDF rounds non-monotonically
+
+
+def knot_ks(x: np.ndarray, cdf_at) -> np.ndarray:
+    """Exact two-sided KS distance of each sorted row of x against its own
+    CDF; ``cdf_at(rows, cols)`` gives row r's CDF at x[r, c] for broadcasting
+    index arrays. The CDF is monotone along a row, so its values at two knots
+    bound both KS terms, F_j - j/n and (j+1)/n - F_j, between them: the knots
+    (every stride-th index, and the last) are evaluated for every row, and a
+    block between two only if its bound plus the slack beats the knots'
+    maximum. The maximum is over evaluated terms alone, so it equals the
+    dense formula's bit for bit."""
+    nr, n = x.shape
+    stride = isqrt(n) // 6 + 2  # 5 on a 366-frame band, 18 at n = 10^4
+
+    def terms(f: np.ndarray, j: np.ndarray) -> np.ndarray:
+        return np.maximum(f - j / n, (j + 1) / n - f)
+
+    knots = np.append(np.arange(0, n - 1, stride), n - 1)
+    fk = cdf_at(np.arange(nr)[:, None], knots[None, :])
+    best = terms(fk, knots).max(axis=1)
+    bound = np.maximum(fk[:, 1:] - (knots[:-1] + 1) / n, knots[1:] / n - fk[:, :-1])
+    # Surviving blocks, each as its stride - 1 interior indices; a short last
+    # block repeats the last knot, which ``best`` already holds.
+    row, block = np.nonzero(bound + _KS_SLACK > best[:, None])
+    j = np.minimum(knots[block, None] + np.arange(1, stride), n - 1)
+    np.maximum.at(best, row, terms(cdf_at(row[:, None], j), j).max(axis=1))
+    return best
+
+
 def ks_stat(values, spec: DistributionSpec) -> float:
     """Exact two-sided KS distance between the sample and the family CDF."""
-    v = np.sort(clean_sample(values))
-    n = len(v)
-    f = np.asarray(cdf(spec, v))
-    i = np.arange(1, n + 1)
-    return float(max((f - (i - 1) / n).max(), (i / n - f).max()))
+    v = np.sort(clean_sample(values))[None, :]
+    return float(knot_ks(v, lambda r, j: cdf(spec, v[r, j]))[0])
 
 
 @dataclass(frozen=True)

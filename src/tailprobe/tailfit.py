@@ -13,16 +13,18 @@ larger late-segment slopes than near-Gaussian infinite-variance inputs, so
 their orderings invert exactly where the verdict matters (confirmed by
 measurement; the estimators here are private).
 
-Two likelihoods (Lomax, used twice; t) make the fits, each a
-one-parameter profile maximized by the same Brent search, ``_argmax``,
-over the log of that parameter. The symmetric-Pareto law of |x| is a Lomax
-law, that is, a generalized Pareto law over threshold 0 with shape
-xi = 1/gamma and tau = xi / scale = 1/lam, so ``_lomax_profile`` serves
-both the Pareto fit and the peaks-over-threshold shape.
+Two likelihoods (Lomax, used twice; t) make the fits, each a one-parameter
+profile, unimodal in the log of that parameter, maximized by one Brent root
+search, ``_score_root``, on its closed-form derivative (its score). The
+symmetric-Pareto law of |x| is a Lomax law, that is, a generalized Pareto
+law over threshold 0 with shape xi = 1/gamma and tau = xi / scale = 1/lam,
+so ``_lomax_profile`` and its score serve both the Pareto fit and the
+peaks-over-threshold shape.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,50 +45,58 @@ GPD_TAIL_FRACTION = 0.05      # top fraction of |x - median| used for gpd shape
 TFD_FINITE_MIN_INDEX = 4.0    # spectrogram variance finite iff tail index > 4
 TD_FINITE_MIN_INDEX = 2.0     # TD variance finite iff tail index > 2
 
-_CGOLD = (3.0 - 5.0**0.5) / 2.0  # golden-section step, as a bracket fraction
 _BRACKET_TOL = 1e-9  # the search stops once its bracket is narrower than this
-# A backstop: the real profiles take 10-30 evaluations, but an f that is NaN
-# or -inf on part of the bracket gives the parabola nothing to fit.
-_MAX_EVALS = 100
+_MAX_EVALS = 100  # a backstop: the real scores take 1-14 evaluations
 
 
-def _argmax(f, lo: float, hi: float) -> float:
-    """Brent's bounded maximizer of a unimodal ``f`` on [lo, hi] (Brent
-    1973, ch. 5): parabolic steps through the three best points, and a
-    golden-section step when a parabola leaves the bracket or shrinks too
-    slowly. NaN reads as -inf; returns the best point seen."""
-    tol = _BRACKET_TOL / 4.0  # the stop below leaves hi - lo <= 4 tol
-    x = w = v = lo + _CGOLD * (hi - lo)
-    fx = fw = fv = max(-np.inf, float(f(x)))  # max(-inf, NaN) is -inf
-    d = e = 0.0
-    for _ in range(_MAX_EVALS - 1):
-        mid = (lo + hi) / 2.0
-        if abs(x - mid) <= 2.0 * tol - (hi - lo) / 2.0:
+def _score_root(score, lo: float, hi: float) -> float:
+    """Maximizer on [lo, hi] of a unimodal profile, as the root of its
+    decreasing ``score`` (its derivative up to a positive factor): Brent's
+    root finder (Brent 1973, ch. 4), with inverse quadratic or secant steps
+    and bisection when they leave the bracket, shrink it too slowly or meet
+    an infinite score. An end whose score does not point inward is returned
+    at once. NaN (no profile value) reads as +inf if the score at lo is NaN,
+    else -inf, so the search leaves a NaN region at either end. Returns the
+    bracket end of smaller |score|."""
+    fa = float(score(lo))
+    if fa <= 0:
+        return lo
+    fa, nan_reads = (np.inf, np.inf) if math.isnan(fa) else (fa, -np.inf)
+
+    def read(u: float) -> float:
+        f = float(score(u))
+        return nan_reads if math.isnan(f) else f
+
+    b, fb = hi, read(hi)
+    if fb >= 0:
+        return hi
+    a, c, fc, d, e = lo, lo, fa, hi - lo, hi - lo
+    tol = _BRACKET_TOL / 2.0  # the stop below leaves |c - b| <= 2 tol
+    for evals in range(2, _MAX_EVALS + 1):
+        if (fb > 0) == (fc > 0):  # keep the sign change between b and c
+            c, fc, d, e = a, fa, b - a, b - a
+        if abs(fc) < abs(fb):  # b is the best point
+            a, b, c, fa, fb, fc = b, c, b, fb, fc, fb
+        m = (c - b) / 2.0
+        if abs(m) <= tol or fb == 0 or evals == _MAX_EVALS:
             break
-        p = q = 0.0
-        if abs(e) > tol:  # fit a parabola through x, w and v
-            r, q = (x - w) * (fx - fv), (x - v) * (fx - fw)
-            p, q = (x - v) * q - (x - w) * r, 2.0 * (q - r)
-            p, q = (-p, q) if q > 0 else (p, -q)  # q >= 0, vertex at x + p / q
-        if abs(p) < abs(0.5 * q * e) and q * (lo - x) < p < q * (hi - x):
-            e, d = d, p / q
-            if min(x + d - lo, hi - x - d) < 2.0 * tol:
-                d = tol if mid > x else -tol
+        if abs(e) >= tol and abs(fa) > abs(fb) and math.isfinite(fa + fc):
+            s = fb / fa
+            if a == c:  # secant
+                p, q = 2.0 * m * s, 1.0 - s
+            else:  # inverse quadratic through a, b and c
+                q, r = fa / fc, fb / fc
+                p = s * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            p, q = (p, -q) if p > 0 else (-p, q)
+            fits = 2.0 * p < min(3.0 * m * q - abs(tol * q), abs(e * q))
+            e, d = (d, p / q) if fits else (m, m)
         else:
-            e = (lo if x >= mid else hi) - x
-            d = _CGOLD * e
-        u = x + (d if abs(d) >= tol else (tol if d >= 0 else -tol))
-        fu = max(-np.inf, float(f(u)))
-        if fu >= fx:
-            lo, hi = (x, hi) if u >= x else (lo, x)
-            v, w, x, fv, fw, fx = w, x, u, fw, fx, fu
-        else:
-            lo, hi = (lo, u) if u >= x else (u, hi)
-            if fu >= fw or w == x:
-                v, w, fv, fw = w, u, fw, fu
-            elif fu >= fv or v == x or v == w:
-                v, fv = u, fu
-    return x
+            d = e = m
+        a, fa = b, fb
+        b += d if abs(d) > tol else (tol if m > 0 else -tol)
+        fb = read(b)
+    return b
 
 
 def _cf_alpha(x: np.ndarray) -> float:
@@ -112,7 +122,7 @@ def _lomax_profile(y: np.ndarray):
     k = len(y)
 
     def prof(u: float) -> tuple[float, float]:
-        xi = float(np.mean(np.log1p(np.exp(u) * y)))
+        xi = float(np.log1p(np.exp(u) * y).sum()) / k
         if xi <= 0:
             return -np.inf, xi
         return k * (u - np.log(xi) - xi - 1.0), xi
@@ -120,10 +130,24 @@ def _lomax_profile(y: np.ndarray):
     return prof
 
 
+def _lomax_score(y: np.ndarray):
+    """The u-derivative of ``_lomax_profile`` over k, as d xi / du = mean(w):
+    1 - (1/xi + 1) mean(w), w = tau y / (1 + tau y); NaN unless xi > 0."""
+
+    def score(u: float) -> float:
+        ty = np.exp(u) * y
+        xi = float(np.log1p(ty).sum()) / len(y)
+        if not xi > 0:
+            return np.nan
+        return 1.0 - (1.0 / xi + 1.0) * (float((ty / (1.0 + ty)).sum()) / len(y))
+
+    return score
+
+
 def _gpd_shape(y: np.ndarray) -> float:
     """Profile-likelihood generalized-Pareto shape (xi) of exceedances y > 0:
-    a grid scan over log(tau), refined by ``_argmax`` within a factor 3 of
-    the best grid point. It never returns a negative shape: 0.0 when the
+    a grid scan over log(tau), refined by ``_score_root`` within a factor 3
+    of the best grid point. It never returns a negative shape: 0.0 when the
     exponential (xi -> 0) fits better than every grid point."""
     y = np.asarray(y, dtype=float)
     y = y[y > 0]
@@ -138,7 +162,7 @@ def _gpd_shape(y: np.ndarray) -> float:
     if -k * (np.log(ybar) + 1.0) > lls[best]:  # exponential (xi -> 0) wins
         return 0.0
     log3 = np.log(3.0)
-    return prof(_argmax(lambda u: prof(u)[0], us[best] - log3, us[best] + log3))[1]
+    return prof(_score_root(_lomax_score(y), us[best] - log3, us[best] + log3))[1]
 
 
 def _tail_shape(x: np.ndarray, frac: float = GPD_TAIL_FRACTION) -> float:
@@ -153,16 +177,15 @@ def _tail_shape(x: np.ndarray, frac: float = GPD_TAIL_FRACTION) -> float:
 
 
 def _fit_sym_pareto(x: np.ndarray) -> SymPareto:
-    """Symmetric-Pareto ML fit of a centred sample: ``_argmax`` over
+    """Symmetric-Pareto ML fit of a centred sample: ``_score_root`` over
     log(tau) = -log(scale) of the Lomax profile of |x|, within a factor 30
     of the median |x|; the shape is 1/xi."""
     a = np.abs(np.asarray(x, dtype=float))
     med = float(median(a))
     if med <= 0:
         med = float(np.mean(a)) or 1.0
-    prof = _lomax_profile(a)
-    log_tau = _argmax(lambda u: prof(u)[0], -np.log(30.0 * med), np.log(30.0 / med))
-    xi = prof(log_tau)[1]
+    log_tau = _score_root(_lomax_score(a), -np.log(30.0 * med), np.log(30.0 / med))
+    xi = _lomax_profile(a)(log_tau)[1]
     if not (xi > 0 and np.isfinite(1.0 / xi)):
         raise DataError("sample too degenerate for a tail fit")
     return SymPareto(gamma=1.0 / xi, lam=float(np.exp(-log_tau)))
@@ -173,13 +196,14 @@ def _t_scale2(y2: np.ndarray, nu: float, s: float, s0: float) -> float:
     g(s) = s - (nu + 1) mean(y2 s / (nu s + y2)), by Newton steps from the
     given start s, or from s0 = mean(y2) when g(s) < 0 there (s below the
     root). Only the start is checked: near the root g may round negative."""
+    n = len(y2)
     w = y2 / (nu * s + y2)
-    if not (nu + 1.0) * float(np.mean(w)) <= 1.0:  # g(s) < 0, or NaN
+    if not (nu + 1.0) * (float(w.sum()) / n) <= 1.0:  # g(s) < 0, or NaN
         s, w = s0, y2 / (nu * s0 + y2)
     while True:
         # Newton's relative step g(s) / (s g'(s)).
-        step = (1.0 - (nu + 1.0) * float(np.mean(w))) / (
-            1.0 - (nu + 1.0) * float(np.mean(w * w))
+        step = (1.0 - (nu + 1.0) * (float(w.sum()) / n)) / (
+            1.0 - (nu + 1.0) * (float((w * w).sum()) / n)
         )
         s, last = s * (1.0 - step), s
         # Stop once converged, overflowed (NaN), or unable to move s
@@ -190,8 +214,10 @@ def _t_scale2(y2: np.ndarray, nu: float, s: float, s0: float) -> float:
 
 
 def _fit_t(x: np.ndarray) -> TLocScale:
-    """t ML fit of a centred sample y: ``_argmax`` over log(nu) in
-    [log 0.6, log 60] of the profile likelihood.
+    """t ML fit of a centred sample y: ``_score_root`` over log(nu) in
+    [log 0.6, log 60] on the profile likelihood's derivative over n, which
+    the envelope theorem and (nu + 1) mean(w) = 1 at the scale's root give:
+    nu/2 [psi((nu + 1)/2) - psi(nu/2) - mean(log1p(y^2 / (nu s)))].
 
     At each nu the squared scale s = delta^2 is the root of
     g(s) = s - (nu + 1) mean(y^2 s / (nu s + y^2)), found by Newton steps
@@ -211,17 +237,17 @@ def _fit_t(x: np.ndarray) -> TLocScale:
     n, s0 = len(y2), float(np.mean(y2))
     start = s0
 
-    def loglik(lognu: float) -> float:
+    def score(lognu: float) -> float:
         nonlocal start
         nu = float(np.exp(lognu))
         s = start = _t_scale2(y2, nu, start, s0)
-        return n * (
-            special.gammaln((nu + 1.0) / 2.0)
-            - special.gammaln(nu / 2.0)
-            - 0.5 * np.log(np.pi * nu * s)
-        ) - (nu + 1.0) / 2.0 * float(np.sum(np.log1p(y2 / (nu * s))))
+        return nu / 2.0 * (
+            special.psi((nu + 1.0) / 2.0)
+            - special.psi(nu / 2.0)
+            - float(np.log1p(y2 / (nu * s)).sum()) / n
+        )
 
-    nu = float(np.exp(_argmax(loglik, np.log(0.6), np.log(60.0))))
+    nu = float(np.exp(_score_root(score, np.log(0.6), np.log(60.0))))
     d = np.ldexp(np.sqrt(_t_scale2(y2, nu, start, s0)), e)
     if not np.isfinite(d):
         raise ComputeError(f"t fit failed: scale {d} is not finite")

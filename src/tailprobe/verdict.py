@@ -26,10 +26,9 @@ Decision layers, from raw signal to category:
    null pushed through the same spectrogram pipeline (overlapping frames
    correlate the bins, which invalidates the iid bootstrap here), plus
    Stephens' closed-form Gaussian KS gate on the time-domain signal. Both
-   must pass. The per-bin KS is exact, but the CDF is evaluated only where
-   the maximum can lie (values at sparse knots bound it in between). Under
-   white Gaussian input the band's complex-valued bins are exchangeable, so
-   the null pools their KS distances over ceil(bootstrap / m) draws (m such
+   must pass. The per-bin KS is exact (``gof.knot_ks``). Under white
+   Gaussian input the band's complex-valued bins are exchangeable, so the
+   null pools their KS distances over ceil(bootstrap / m) draws (m such
    bins). The real-valued DC and Nyquist bins follow another law and get no
    p-value; they count in neither the median nor the fraction below 0.05.
 
@@ -52,7 +51,7 @@ from scipy import special
 from .distributions import CHI2_NULL, TD_CALIBRATION, TFD_CALIBRATION, stream
 from .ecfm import masked_deviations, normalize_rows
 from .errors import ComputeError, ConfigError, DataError
-from .gof import clean_sample, gauss_ks
+from .gof import clean_sample, gauss_ks, knot_ks
 from .quantiles import iqr, median, quantile, sorted_quantile
 from .segmentation import SegmentationConfig
 from .tailfit import TailEvidence, tail_evidence
@@ -416,45 +415,20 @@ class Chi2Evidence:
     passed: bool
 
 
-_KS_KNOT_STRIDE = 4  # the KS kernel's CDF knots: every 4th order statistic
-_KS_SLACK = 1e-12    # margin in case gammainc rounds non-monotonically
-
-
 def _bin_ks_stats(power: np.ndarray) -> np.ndarray:
     """KS distance per column between binned power and its moment-fitted
-    generalized chi-squared law. Degenerate columns give NaN.
-
-    Exact, but the CDF is evaluated only where the maximum can lie: it is
-    monotone along the order statistics, so its values at two knots bound
-    both KS terms, F_j - j/n and (j+1)/n - F_j, at every index between them.
-    The knots (and the last index) are evaluated for every bin; a block
-    between them only if its bound plus the slack beats the knots' maximum.
-    """
+    generalized chi-squared law (``gof.knot_ks``). Degenerate columns, and
+    every column of a one-frame matrix, give NaN."""
     nt, nb = power.shape
     m = power.mean(axis=0)
-    v = power.var(axis=0, ddof=1)
+    v = power.var(axis=0, ddof=1) if nt > 1 else np.zeros(nb)  # one frame: no variance
     valid = (m > 0) & (v > 0)
     ks = np.full(nb, np.nan)
     if not np.any(valid):
         return ks
     a = 2.0 * m[valid] ** 2 / v[valid] / 2.0  # theta / 2, rounded as theta is
-    scale = v[valid] / m[valid]  # = 2 * beta
-    x = np.sort(power[:, valid].T, axis=1) / scale[:, None]  # one row per bin
-
-    def terms(f: np.ndarray, j: np.ndarray) -> np.ndarray:
-        return np.maximum(f - j / nt, (j + 1) / nt - f)
-
-    knots = np.union1d(np.arange(0, nt, _KS_KNOT_STRIDE), [nt - 1])
-    fk = special.gammainc(a[:, None], x[:, knots])
-    best = terms(fk, knots).max(axis=1)
-    bound = np.maximum(fk[:, 1:] - (knots[:-1] + 1) / nt, knots[1:] / nt - fk[:, :-1])
-    # Surviving blocks, each as its stride - 1 interior indices; a short last
-    # block repeats the last knot, which ``best`` already holds.
-    row, block = np.nonzero(bound + _KS_SLACK > best[:, None])
-    j = np.minimum(knots[block, None] + np.arange(1, _KS_KNOT_STRIDE), nt - 1)
-    t = terms(special.gammainc(a[row, None], x[row[:, None], j]), j)
-    np.maximum.at(best, row, t.max(axis=1))
-    ks[valid] = best
+    x = np.sort(power[:, valid].T, axis=1) / (v[valid] / m[valid])[:, None]  # over 2 beta
+    ks[valid] = knot_ks(x, lambda r, j: special.gammainc(a[r], x[r, j]))
     return ks
 
 

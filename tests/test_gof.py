@@ -1,9 +1,12 @@
-"""Goodness-of-fit tests: exact KS statistics on constructed samples, Monte
-Carlo p-value calibration with refitting, and power against heavy tails."""
+"""Goodness-of-fit tests: exact KS statistics on constructed samples, the
+knot-pruned KS kernel against the dense formula, Monte Carlo p-value
+calibration with refitting, and power against heavy tails."""
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tailprobe import (
     ConfigError,
@@ -20,8 +23,10 @@ from tailprobe import (
     spectrogram,
     sub_signal,
 )
-from tailprobe.distributions import fit_gen_chi2
+from tailprobe.distributions import cdf, fit_gen_chi2
 from tailprobe.gof import _fit_family
+from tailprobe.study import default_scenarios
+from tailprobe.tailfit import _fit_sym_pareto, _fit_t
 
 
 # ------------------------------------------------------------ empirical laws
@@ -67,6 +72,70 @@ def test_ks_input_validation():
         ks_stat(np.array([]), GenChi2(2.0, 1.0))
     with pytest.raises(DataError):
         ks_stat(np.array([1.0, np.nan]), GenChi2(2.0, 1.0))
+
+
+# ------------------------------------------ the knot-pruned KS kernel
+
+def dense_ks(values, spec):
+    """The KS distance with the CDF evaluated at every order statistic."""
+    v = np.sort(np.asarray(values, dtype=float))
+    n = len(v)
+    f = np.asarray(cdf(spec, v))
+    i = np.arange(1, n + 1)
+    return float(max((f - (i - 1) / n).max(), (i / n - f).max()))
+
+
+def fitted_laws(y):
+    """(sample, law) pairs: y against its fitted Pareto and t laws, y
+    standardized against the unit Gaussian, and y^2 against its GenChi2."""
+    gauss, z = _fit_family(y, "gaussian")
+    return [(y, _fit_sym_pareto(y)), (y, _fit_t(y)), (z, gauss),
+            (y * y, fit_gen_chi2(y * y))]
+
+
+def assert_ks_matches_dense(y):
+    for values, spec in fitted_laws(y):
+        assert ks_stat(values, spec) == dense_ks(values, spec), spec
+
+
+@pytest.mark.parametrize("scenario", default_scenarios(), ids=lambda s: s.name)
+def test_ks_matches_dense_on_scenario_fits(scenario):
+    x = sample(scenario.spec, 10_000, np.random.default_rng(7))
+    assert_ks_matches_dense(x - np.median(x))
+
+
+@pytest.mark.parametrize("n", [1, 2, 15, 16, 17, 10_000])
+def test_ks_matches_dense_at_every_length(n):
+    y = sample(TLocScale(3.0, 1.0), n, np.random.default_rng(n))
+    for spec in (TLocScale(3.0, 1.0), SymPareto(2.0, 0.5), GenChi2(2.0, 1.0)):
+        assert ks_stat(y, spec) == dense_ks(y, spec)
+    if n > 2:
+        assert_ks_matches_dense(y - np.median(y))
+
+
+@pytest.mark.parametrize("n", [17, 400, 10_000])
+def test_ks_matches_dense_on_heavy_ties(n):
+    y = np.random.default_rng(n).integers(-2, 3, size=n).astype(float)
+    for spec in (TLocScale(3.0, 1.0), SymPareto(2.0, 0.5), GenChi2(2.0, 1.0)):
+        assert ks_stat(y, spec) == dense_ks(y, spec)
+    assert_ks_matches_dense(y)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.integers(1, 3000),
+    law=st.sampled_from([TLocScale(1.5, 1.0), TLocScale(6.0, 2.0),
+                         SymPareto(1.2, 1.0), GenChi2(3.0, 0.5)]),
+    seed=st.integers(0, 2**32 - 1),
+    scale=st.floats(1e-3, 1e3),
+    ties=st.booleans(),
+)
+def test_ks_matches_dense_on_drawn_samples(n, law, seed, scale, ties):
+    y = scale * sample(law, n, np.random.default_rng(seed))
+    if ties:
+        y = np.round(y / scale)
+    for spec in (law, TLocScale(3.0, scale), SymPareto(2.0, scale)):
+        assert ks_stat(y, spec) == dense_ks(y, spec)
 
 
 # ------------------------------------------------- Monte Carlo calibration

@@ -2,6 +2,7 @@
 thresholds, tail-shape evidence, the per-bin squared-magnitude law check,
 and the four-way classification."""
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -364,6 +365,15 @@ def test_chi2_p_values_match_a_naive_count_against_the_pool():
     for j in tested:
         want = (1 + sum(1 for d in pool if d >= ks[j])) / (len(pool) + 1)
         assert ev.bin_p_values[j] == want
+
+
+def test_bin_ks_stats_of_one_frame_is_nan_without_a_warning():
+    # One frame has no sample variance: every column is degenerate.
+    power = np.random.default_rng(1).gamma(2.0, size=(1, 6))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ks = _bin_ks_stats(power)
+    assert ks.shape == (6,) and np.isnan(ks).all()
 
 
 def test_chi2_real_valued_bins_get_no_p_value():
