@@ -28,7 +28,7 @@ from .distributions import (
     sample as draw,
     stream,
 )
-from .errors import ComputeError, ConfigError, DataError
+from .errors import ConfigError, DataError
 
 
 def clean_sample(values) -> np.ndarray:
@@ -106,22 +106,21 @@ def _fit_family(values: np.ndarray, family: str):
     if family == "genchi2":
         return fit_gen_chi2(values), values
     if family == "gaussian":
-        m = float(np.mean(values))
-        s = float(np.std(values, ddof=1))
-        if not np.isfinite(s):
-            raise ComputeError(f"sample std {s} is not finite (the squares overflow)")
+        # Standardize x / 2^e, e the binary exponent of max|x| (exact, and no
+        # square overflows at any scale of x), against the unit Gaussian
+        # (sigma = 1/sqrt(2) in the stable parameterization, variance 2*sigma^2).
+        v = np.ldexp(values, -int(np.frexp(np.abs(values).max())[1]))
+        m = float(np.mean(v))
+        s = float(np.std(v, ddof=1))
         if s <= 0:
             raise DataError("degenerate sample: zero variance")
-        # Standardize and compare against the unit Gaussian (sigma = 1/sqrt(2)
-        # in the stable parameterization, whose variance is 2*sigma^2).
-        return AlphaStable(alpha=2.0, sigma=1.0 / np.sqrt(2.0)), (values - m) / s
+        return AlphaStable(alpha=2.0, sigma=1.0 / np.sqrt(2.0)), (v - m) / s
     raise ConfigError(f"family must be 'genchi2' or 'gaussian', got {family!r}")
 
 
 def gauss_ks(values) -> float:
     """KS distance between the sample, standardized by its mean and ddof=1
-    std, and the unit Gaussian. Raises DataError on zero std and
-    ComputeError when the std is not finite."""
+    std, and the unit Gaussian. Raises DataError on zero std."""
     spec, z = _fit_family(clean_sample(values), "gaussian")
     return ks_stat(z, spec)
 

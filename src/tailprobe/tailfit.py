@@ -15,11 +15,12 @@ measurement; the estimators here are private).
 
 Two likelihoods (Lomax, used twice; t) make the fits, each a one-parameter
 profile, unimodal in the log of that parameter, maximized by one Brent root
-search, ``_score_root``, on its closed-form derivative (its score). The
-symmetric-Pareto law of |x| is a Lomax law, that is, a generalized Pareto
-law over threshold 0 with shape xi = 1/gamma and tau = xi / scale = 1/lam,
-so ``_lomax_profile`` and its score serve both the Pareto fit and the
-peaks-over-threshold shape.
+search, ``_score_root``, on its closed-form derivative (its score) over the
+parameter's whole bracket. The symmetric-Pareto law of |x| is a Lomax law,
+that is, a generalized Pareto law over threshold 0 with shape xi = 1/gamma
+and tau = xi / scale = 1/lam, so ``_lomax_profile`` and its score serve both
+the Pareto fit and the peaks-over-threshold shape. Squares are taken of the
+sample over a power of two, so the calls hold at every scale 1e-300 to 1e280.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ TFD_FINITE_MIN_INDEX = 4.0    # spectrogram variance finite iff tail index > 4
 TD_FINITE_MIN_INDEX = 2.0     # TD variance finite iff tail index > 2
 
 _BRACKET_TOL = 1e-9  # the search stops once its bracket is narrower than this
-_MAX_EVALS = 100  # a backstop: the real scores take 1-14 evaluations
+_MAX_EVALS = 100  # a backstop: the real scores take 1-17 evaluations
 
 
 def _score_root(score, lo: float, hi: float) -> float:
@@ -146,30 +147,27 @@ def _lomax_score(y: np.ndarray):
 
 def _gpd_shape(y: np.ndarray) -> float:
     """Profile-likelihood generalized-Pareto shape (xi) of exceedances y > 0:
-    a grid scan over log(tau), refined by ``_score_root`` within a factor 3
-    of the best grid point. It never returns a negative shape: 0.0 when the
-    exponential (xi -> 0) fits better than every grid point."""
+    one ``_score_root`` over log(tau) in [log(1e-6 / ybar), log(1e3 / ybar)].
+    It never returns a negative shape: 0.0 when the exponential (xi -> 0)
+    fits better than the profile's maximum."""
     y = np.asarray(y, dtype=float)
     y = y[y > 0]
     k = len(y)
     if k < 5:
         return 0.0
     ybar = float(y.mean())
-    prof = _lomax_profile(y)
-    us = np.linspace(np.log(1e-6 / ybar), np.log(1e3 / ybar), 60)
-    lls = [prof(u)[0] for u in us]
-    best = int(np.argmax(lls))
-    if -k * (np.log(ybar) + 1.0) > lls[best]:  # exponential (xi -> 0) wins
+    u = _score_root(_lomax_score(y), np.log(1e-6 / ybar), np.log(1e3 / ybar))
+    ll, xi = _lomax_profile(y)(u)
+    if -k * (np.log(ybar) + 1.0) > ll:  # exponential (xi -> 0) wins
         return 0.0
-    log3 = np.log(3.0)
-    return prof(_score_root(_lomax_score(y), us[best] - log3, us[best] + log3))[1]
+    return xi
 
 
-def _tail_shape(x: np.ndarray, frac: float = GPD_TAIL_FRACTION) -> float:
-    """GPD shape of the top-``frac`` absolute values."""
+def _tail_shape(x: np.ndarray) -> float:
+    """GPD shape of the top ``GPD_TAIL_FRACTION`` of absolute values."""
     a = np.abs(x)
     n = len(a)
-    k = max(10, int(round(frac * n)))
+    k = max(10, int(round(GPD_TAIL_FRACTION * n)))
     if k >= n:
         return 0.0
     s = np.sort(a)
@@ -225,14 +223,14 @@ def _fit_t(x: np.ndarray) -> TLocScale:
     when g is negative there. g is convex with g(0) = 0 and g'(0) = -nu, so
     g >= 0 at any start at or above the root (Jensen gives g(s0) >= 0), and
     from there the steps descend monotonically onto the root. Raises
-    ComputeError when the fitted scale is not finite (the squares overflow).
+    ComputeError when the fitted scale is not finite.
 
-    y is first divided by 2^e, e the binary exponent of its RMS: exact, and
-    it keeps the squares normal for samples whose squares would be
-    subnormal. An overflowing RMS gives e = 0.
+    y is first divided by 2^e, e the binary exponent of max|y|, as in the
+    Gaussian standardisation: exact, so the fit does not depend on the scale
+    of y, and no square overflows.
     """
     y = np.asarray(x, dtype=float)
-    e = int(np.frexp(np.sqrt(np.mean(np.square(y))))[1])
+    e = int(np.frexp(np.abs(y).max())[1])
     y2 = np.square(np.ldexp(y, -e))
     n, s0 = len(y2), float(np.mean(y2))
     start = s0
@@ -278,7 +276,7 @@ def tail_evidence(values: np.ndarray) -> TailEvidence:
     docstring for the decision tree and its constants). Every estimator sees
     the sample centred on its median, so the call does not depend on
     location. Raises DataError on a constant or non-finite sample and
-    ComputeError when its squares overflow."""
+    ComputeError when the t fit's scale is not finite."""
     x = clean_sample(values)
     x = x - median(x)
     n = len(x)

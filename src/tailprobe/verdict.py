@@ -125,6 +125,7 @@ def band_bin_indices(freqs: np.ndarray, band: tuple[float, float] | None) -> np.
     return idx
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a spike's inf and NaN are read below
 def _last_segment_slopes(
     columns: np.ndarray, seg_cfg: SegmentationConfig
 ) -> tuple[np.ndarray, np.ndarray]:

@@ -20,7 +20,7 @@ def dense_ks(power):
     """KS per column with the CDF evaluated at every order statistic."""
     nt, nb = power.shape
     m = power.mean(axis=0)
-    v = power.var(axis=0, ddof=1)
+    v = power.var(axis=0, ddof=1) if nt > 1 else np.zeros(nb)  # one frame: no variance
     valid = (m > 0) & (v > 0)
     ks = np.full(nb, np.nan)
     if not np.any(valid):

@@ -153,7 +153,7 @@ def test_root_search_needs_at_most_14_evaluations_per_profile(monkeypatch):
     counts = _count_evaluations(monkeypatch)
     ev = tail_evidence(sample(TLocScale(3.0, 1.0), 10_000, np.random.default_rng(14)))
     assert ev.accepted_family == "t"
-    assert len(counts) == 3  # the GPD refinement, the Pareto fit, the t fit
+    assert len(counts) == 3  # the GPD shape, the Pareto fit, the t fit
     assert max(counts) <= 14, counts
 
 
@@ -194,6 +194,32 @@ def test_gpd_shape_at_small_xi_is_the_score_root():
     ref = float(np.mean(np.log1p(np.exp(lo) * y)))
     assert ref < 0.01
     assert _tail_shape(x) == pytest.approx(ref, rel=1e-9, abs=0.0)
+
+
+@pytest.mark.parametrize("k", range(len(default_scenarios())))
+def test_gpd_shape_root_is_the_profile_maximum(monkeypatch, k):
+    # One root search over the whole bracket: its profile value is the
+    # maximum of a dense scan of the bracket, so no second mode beats it.
+    scen = default_scenarios()[k]
+    x = sample(scen.spec, 10_000, np.random.default_rng(k))
+    a = np.sort(np.abs(x - np.median(x)))
+    y = a[-500:] - a[-501]
+    calls = []
+
+    def recording(score, lo, hi):
+        calls.append((lo, hi, _score_root(score, lo, hi)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(tailfit, "_score_root", recording)
+    tailfit._gpd_shape(y)
+    y = y[y > 0]
+    assert [c[:2] for c in calls] == [
+        (np.log(1e-6 / y.mean()), np.log(1e3 / y.mean()))
+    ]
+    prof = _lomax_profile(y)
+    ll = prof(calls[0][2])[0]
+    scan = max(prof(u)[0] for u in np.linspace(*calls[0][:2], 2000))
+    assert ll >= scan - 1e-12 * abs(ll), scen.name
 
 
 @pytest.mark.parametrize("k", [1, 4, 5, 7, 8])

@@ -264,18 +264,38 @@ def test_gpd_shape_matches_scipy_fit(k):
 
 
 def test_overflowing_gaussian_is_a_compute_error():
-    x = 1e154 * np.random.default_rng(5).standard_normal(N)
+    # The slope kernel's squares overflow at this scale; the tail layer's
+    # standardisations divide by a power of two first and give the
+    # unscaled answers.
+    z = np.random.default_rng(5).standard_normal(N)
+    x = 1e154 * z
     with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(ComputeError):
-            tail_evidence(x)
         with pytest.raises(ComputeError):
             _td_slope(x, SegmentationConfig())
         with pytest.raises(ComputeError):
             td_verdict(x, SMALL)
-        with pytest.raises(ComputeError):
-            ks_pvalue_mc(x, family="gaussian", bootstrap=20)
-        with pytest.raises(ComputeError):
-            _fit_t(x - np.median(x))
+    ev, ref = tail_evidence(x), tail_evidence(z)
+    assert (ev.accepted_family, ev.td_finite, ev.tfd_finite) == (
+        ref.accepted_family, ref.td_finite, ref.tfd_finite)
+    assert ev.gauss_ks == pytest.approx(ref.gauss_ks, rel=1e-9)
+    got = ks_pvalue_mc(x, family="gaussian", bootstrap=20)
+    want = ks_pvalue_mc(z, family="gaussian", bootstrap=20)
+    assert got.statistic == pytest.approx(want.statistic, rel=1e-9)
+    assert got.p_value == want.p_value
+    fit, fit_ref = _fit_t(x - np.median(x)), _fit_t(z - np.median(z))
+    assert fit.nu == pytest.approx(fit_ref.nu, rel=1e-9)
+    assert fit.delta / 1e154 == pytest.approx(fit_ref.delta, rel=1e-9)
+
+
+def test_spike_is_a_data_error_without_numpy_warnings():
+    # One sample of 1e50 overflows the fourth powers of every band bin, so
+    # the slope profile keeps no bin: an error, but no bare numpy warning.
+    x = np.random.default_rng(1).standard_normal(10_000)
+    x[5000] = 1e50
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataError, match="all bins in the band are degenerate"):
+            assess(x, SMALL)
 
 
 def test_tail_evidence_rejects_a_constant_signal():
